@@ -50,6 +50,15 @@ CRITERIA = {
     "opacity": PruneCriterion.OPACITY_ONLY,
 }
 
+# Run settings used where neither a flag nor a --config file sets them.
+RUN_DEFAULTS = {
+    "gamma_target": 0.5,
+    "criterion": "gradient",
+    "preset": "desk",
+    "lam": 0.2,
+    "seed": 0,
+}
+
 
 def _fmt(value: float) -> str:
     if math.isinf(value):
@@ -65,17 +74,14 @@ def _write_csv(path, fieldnames, rows) -> None:
             writer.writerow({k: _fmt(v) if isinstance(v, float) else v for k, v in row.items()})
 
 
-def _schedule_from_args(args) -> PruneSchedule:
-    preset = dict(PRESETS[args.preset])
-    for key in ("interval", "steps", "finetune_iters"):
+def _schedule_fields(args, preset: str) -> dict:
+    """A preset's interval, steps and finetune_iters, overridden by explicit flags."""
+    fields = dict(PRESETS[preset])
+    for key in fields:
         value = getattr(args, key)
         if value is not None:
-            preset[key] = value
-    return PruneSchedule(
-        gamma_target=args.gamma_target,
-        criterion=CRITERIA[args.criterion],
-        **preset,
-    )
+            fields[key] = value
+    return fields
 
 
 def _history_rows(run):
@@ -100,44 +106,44 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _config_value(key: str, text: str, path):
+    kind = str
+    if key in CONFIG_INT_KEYS:
+        kind = int
+    elif key in CONFIG_FLOAT_KEYS + CONFIG_LR_KEYS:
+        kind = float
+    try:
+        return kind(text)
+    except ValueError:
+        raise SplatError(
+            f"config key {key!r} in {path}: {text!r} is not a valid {kind.__name__}"
+        ) from None
+
+
 def _apply_run_config(args) -> OptimizerConfig | None:
-    """Fold a --config file into the parsed flags; explicit flags win."""
-    if not args.config:
-        return None
-    config = load_run_config(args.config)
+    """Fill the trim settings no flag set: from --config first, then RUN_DEFAULTS."""
+    config = load_run_config(args.config) if args.config else {}
     known = set(CONFIG_INT_KEYS + CONFIG_FLOAT_KEYS + CONFIG_STR_KEYS + CONFIG_LR_KEYS)
     unknown = sorted(set(config) - known)
     if unknown:
         raise SplatError(f"unknown config key {unknown[0]!r} in {args.config}")
-    for key in CONFIG_INT_KEYS:
-        if key in config and getattr(args, key, None) in (None, args_defaults.get(key)):
-            setattr(args, key, int(config[key]))
-    for key in CONFIG_FLOAT_KEYS:
-        if key in config and getattr(args, key) == args_defaults.get(key):
-            setattr(args, key, float(config[key]))
-    for key in CONFIG_STR_KEYS:
-        if key in config and getattr(args, key, None) in (None, args_defaults.get(key)):
-            setattr(args, key, config[key])
-    lr_overrides = {k: float(config[k]) for k in CONFIG_LR_KEYS if k in config}
-    if lr_overrides:
-        return OptimizerConfig(**lr_overrides)
-    return None
-
-
-args_defaults = {
-    "gamma_target": 0.5,
-    "criterion": "gradient",
-    "preset": "desk",
-    "lam": 0.2,
-    "seed": 0,
-}
+    values = {key: _config_value(key, text, args.config) for key, text in config.items()}
+    lr_overrides = {k: values.pop(k) for k in CONFIG_LR_KEYS if k in values}
+    for key, value in {**RUN_DEFAULTS, **values}.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    return OptimizerConfig(**lr_overrides) if lr_overrides else None
 
 
 def cmd_trim(args) -> int:
     opt_cfg = _apply_run_config(args)
     if args.scene is None or args.manifest is None or args.out_scene is None:
         raise SplatError("scene, manifest, and out-scene are required (flag or config)")
-    schedule = _schedule_from_args(args)
+    schedule = PruneSchedule(
+        gamma_target=args.gamma_target,
+        criterion=CRITERIA[args.criterion],
+        **_schedule_fields(args, args.preset),
+    )
     scene = read_ply(args.scene)
     baseline_bytes = model_size_bytes(scene)
     train_views = load_dataset(args.manifest, split="train")
@@ -249,12 +255,23 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _parse_gammas(text: str) -> list[float]:
+    gammas = []
+    for item in text.split(","):
+        try:
+            gammas.append(float(item))
+        except ValueError:
+            raise SplatError(f"--gammas: {item!r} is not a number") from None
+    return gammas
+
+
 def cmd_ablate(args) -> int:
+    gammas = _parse_gammas(args.gammas)
+    fields = _schedule_fields(args, "desk")
     scene = read_ply(args.scene)
     train_views = load_dataset(args.manifest, split="train")
     test_views = load_dataset(args.manifest, split="test")
     loss_cfg = LossConfig(lam=args.lam)
-    gammas = [float(g) for g in args.gammas.split(",")]
     seeds = list(range(args.seeds))
     rows = []
     for gamma in gammas:
@@ -264,21 +281,14 @@ def cmd_ablate(args) -> int:
                     start = time.perf_counter()
                     if mode == "iterative":
                         schedule = PruneSchedule(
-                            gamma_target=gamma,
-                            steps=args.steps if args.steps is not None else 10,
-                            interval=args.interval if args.interval is not None else 50,
-                            criterion=criterion,
-                            finetune_iters=args.finetune_iters
-                            if args.finetune_iters is not None
-                            else 1000,
+                            gamma_target=gamma, criterion=criterion, **fields
                         )
                         pruned, _, _ = run_iterative_prune(
                             scene, train_views, schedule, loss_cfg, seed=seed
                         )
                     else:
                         pruned, _, _ = one_shot_prune(
-                            scene, train_views, gamma,
-                            args.finetune_iters if args.finetune_iters is not None else 1000,
+                            scene, train_views, gamma, fields["finetune_iters"],
                             criterion=criterion, loss_cfg=loss_cfg, seed=seed,
                         )
                     quality = evaluate(pruned, test_views, loss_cfg)
@@ -340,14 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key-value run configuration file")
     p.add_argument("--report")
     p.add_argument("--history")
-    p.add_argument("--gamma-target", type=float, default=0.5)
-    p.add_argument("--criterion", choices=sorted(CRITERIA), default="gradient")
-    p.add_argument("--preset", choices=sorted(PRESETS), default="desk")
+    # No defaults here: unset flags come from --config, then RUN_DEFAULTS.
+    p.add_argument("--gamma-target", type=float)
+    p.add_argument("--criterion", choices=sorted(CRITERIA))
+    p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--steps", type=int)
     p.add_argument("--interval", type=int)
     p.add_argument("--finetune-iters", type=int)
-    p.add_argument("--lam", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lam", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_trim)
 
     p = sub.add_parser("render", help="render dataset views to PPM files")
@@ -396,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int)
     p.add_argument("--interval", type=int)
     p.add_argument("--finetune-iters", type=int)
-    p.add_argument("--lam", type=float, default=0.2)
+    p.add_argument("--lam", type=float, default=RUN_DEFAULTS["lam"])
     p.set_defaults(func=cmd_ablate)
 
     return parser

@@ -83,16 +83,6 @@ class GaussianSet:
     def activated_opacities(self) -> np.ndarray:
         return activated_opacity(self.opacity_logits.astype(np.float64))
 
-    def copy(self) -> "GaussianSet":
-        return GaussianSet(
-            positions=self.positions.copy(),
-            rotations=self.rotations.copy(),
-            log_scales=self.log_scales.copy(),
-            opacity_logits=self.opacity_logits.copy(),
-            sh_coeffs=self.sh_coeffs.copy(),
-            rotations_raw=None if self.rotations_raw is None else self.rotations_raw.copy(),
-        )
-
     def with_updates(self, **arrays) -> "GaussianSet":
         """New set with some parameter arrays replaced; drops the raw-file copy."""
         return replace(self, rotations_raw=None, **arrays)

@@ -33,12 +33,6 @@ class PruneSchedule:
     interval: int = 50
     criterion: PruneCriterion = PruneCriterion.GRADIENT_AWARE
     finetune_iters: int = 1000
-    # Gradient score reduction between prunes: accumulated norm divided by
-    # hit count ("mean") or left as the raw sum ("sum").
-    score_reduction: str = "mean"
-    # Which per-Gaussian norm feeds the score: the projected-mean gradient
-    # ("mean2d") or the norm over all 59 parameter gradients ("param").
-    grad_statistic: str = "mean2d"
 
     def __post_init__(self):
         if not 0.0 <= self.gamma_target < 1.0:
@@ -49,10 +43,6 @@ class PruneSchedule:
             raise InvalidParameterError("interval must be >= 1")
         if self.finetune_iters < 0:
             raise InvalidParameterError("finetune_iters must be >= 0")
-        if self.score_reduction not in ("mean", "sum"):
-            raise InvalidParameterError("score_reduction must be 'mean' or 'sum'")
-        if self.grad_statistic not in ("mean2d", "param"):
-            raise InvalidParameterError("grad_statistic must be 'mean2d' or 'param'")
 
     @property
     def gamma_iter(self) -> float:
@@ -144,16 +134,20 @@ def prune_mask(
     grad_scores: np.ndarray | None,
     gamma_iter: float,
     criterion: PruneCriterion = PruneCriterion.GRADIENT_AWARE,
-) -> np.ndarray:
-    """Boolean keep-mask for one prune event.
+) -> tuple[np.ndarray, float, float]:
+    """Boolean keep-mask for one prune event, with the thresholds it used.
 
     Gradient-aware keeps the union of the opacity and gradient-score top
-    sets; opacity-only keeps the opacity top set alone.
+    sets; opacity-only keeps the opacity top set alone and reports a
+    ``nan`` gradient threshold. Returns ``(keep, opacity_threshold,
+    gradient_threshold)``.
     """
     opacities = np.asarray(opacities, np.float64)
     if not 0.0 <= gamma_iter < 1.0:
         raise InvalidParameterError("gamma_iter must be in [0, 1)")
-    keep = opacities >= quantile(opacities, gamma_iter)
+    op_thr = quantile(opacities, gamma_iter)
+    keep = opacities >= op_thr
+    gr_thr = math.nan
     if criterion is PruneCriterion.GRADIENT_AWARE:
         if grad_scores is None:
             raise InvalidParameterError("gradient-aware pruning needs grad_scores")
@@ -163,23 +157,9 @@ def prune_mask(
                 f"length mismatch: {opacities.shape} opacities vs "
                 f"{grad_scores.shape} grad scores"
             )
-        keep |= grad_scores >= quantile(grad_scores, gamma_iter)
-    return keep
-
-
-def mask_thresholds(
-    opacities: np.ndarray,
-    grad_scores: np.ndarray | None,
-    gamma_iter: float,
-    criterion: PruneCriterion,
-) -> tuple[float, float]:
-    """The (opacity, gradient) thresholds a prune event compared against."""
-    op_thr = quantile(np.asarray(opacities, np.float64), gamma_iter)
-    if criterion is PruneCriterion.GRADIENT_AWARE and grad_scores is not None:
-        gr_thr = quantile(np.asarray(grad_scores, np.float64), gamma_iter)
-    else:
-        gr_thr = math.nan
-    return op_thr, gr_thr
+        gr_thr = quantile(grad_scores, gamma_iter)
+        keep |= grad_scores >= gr_thr
+    return keep, op_thr, gr_thr
 
 
 def apply_mask(gaussians: GaussianSet, keep: np.ndarray) -> GaussianSet:

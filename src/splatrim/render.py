@@ -102,17 +102,6 @@ class ParamGradients:
             sh_coeffs=np.zeros((n, SH_COEFFS, 3)),
         )
 
-    def per_gaussian_norms(self) -> np.ndarray:
-        """L2 norm over all 59 parameter gradients of each Gaussian."""
-        sq = (
-            np.sum(self.positions**2, axis=1)
-            + np.sum(self.rotations**2, axis=1)
-            + np.sum(self.log_scales**2, axis=1)
-            + self.opacity_logits**2
-            + np.sum(self.sh_coeffs**2, axis=(1, 2))
-        )
-        return np.sqrt(sq)
-
 
 @dataclass
 class GradientStats:
@@ -125,19 +114,9 @@ class GradientStats:
     def zeros(n: int) -> "GradientStats":
         return GradientStats(np.zeros(n), np.zeros(n, np.int64))
 
-    @property
-    def count(self) -> int:
-        return self.accum_grad_norm.shape[0]
-
-    def scores(self, reduction: str = "mean") -> np.ndarray:
-        if reduction == "mean":
-            return self.accum_grad_norm / np.maximum(self.hit_count, 1)
-        if reduction == "sum":
-            return self.accum_grad_norm.copy()
-        raise InvalidParameterError(f"unknown reduction {reduction!r}")
-
-    def filter(self, keep: np.ndarray) -> "GradientStats":
-        return GradientStats(self.accum_grad_norm[keep], self.hit_count[keep])
+    def scores(self) -> np.ndarray:
+        """Accumulated gradient norm divided by the number of passes that hit."""
+        return self.accum_grad_norm / np.maximum(self.hit_count, 1)
 
 
 def accumulate_gradient_stats(
@@ -255,7 +234,6 @@ def _project_full(
         "rot": rot,
         "scales": scales,
         "q_hat": q_hat,
-        "q_norm": q_norm,
         "p_mat": p_mat,
         "det": det,
     }
@@ -286,7 +264,7 @@ def _prepare(
     cov2d = full["cov2d"][vis_idx]
     depth = full["depth"][vis_idx]
 
-    det = cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] ** 2
+    det = full["det"][vis_idx]
     conic = np.empty_like(cov2d)
     conic[:, 0, 0] = cov2d[:, 1, 1] / det
     conic[:, 1, 1] = cov2d[:, 0, 0] / det

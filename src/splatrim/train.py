@@ -4,6 +4,8 @@ The pipeline starts from an already-optimized scene: alternate ``interval``
 optimizer steps with a prune event for ``steps`` rounds, then run an
 extended fine-tune. The one-shot variant scores every Gaussian with a
 no-update gradient pass over all views, prunes once, and fine-tunes.
+Plain ``finetune`` runs the steps alone. One loop, ``_finetune_loop``, takes
+every optimizer step of all three pipelines.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .prune import (
     PruneSchedule,
     PruneStepRecord,
     apply_mask,
-    mask_thresholds,
     prune_mask,
 )
 from .render import (
@@ -165,12 +166,8 @@ class HistoryEntry:
 
 @dataclass
 class TrainRun:
-    """Configuration and per-iteration record of one training run."""
+    """Per-iteration record of one training run."""
 
-    schedule: PruneSchedule
-    loss_config: LossConfig
-    seed: int
-    dataset: list = field(default_factory=list, repr=False)  # (camera, target) pairs
     iteration: int = 0
     history: list[HistoryEntry] = field(default_factory=list)
 
@@ -183,8 +180,7 @@ class FinetuneResult:
     scene: GaussianSet
     loss: float
     psnr: float
-    grad_norms: np.ndarray       # ||dL/d mean2d|| per Gaussian
-    param_grad_norms: np.ndarray  # norm over all 59 parameter gradients
+    grad_norms: np.ndarray  # ||dL/d mean2d|| per Gaussian
 
 
 def finetune_step(
@@ -210,11 +206,7 @@ def finetune_step(
     grads, norms = rasterize_backward(scene, camera, out, d_image)
     new_scene = optimizer.step(scene, grads)
     return FinetuneResult(
-        scene=new_scene,
-        loss=loss,
-        psnr=psnr(out.image, target),
-        grad_norms=norms,
-        param_grad_norms=grads.per_gaussian_norms(),
+        scene=new_scene, loss=loss, psnr=psnr(out.image, target), grad_norms=norms
     )
 
 
@@ -232,38 +224,59 @@ class _ViewCycler:
         return int(self.order.pop(0))
 
 
-def _statistic(result: FinetuneResult, schedule: PruneSchedule) -> np.ndarray:
-    if schedule.grad_statistic == "param":
-        return result.param_grad_norms
-    return result.grad_norms
+def _finetune_loop(
+    scene: GaussianSet,
+    optimizer: OptimizerState,
+    dataset: list[tuple[Camera, np.ndarray]],
+    cycler: _ViewCycler,
+    iters: int,
+    loss_cfg: LossConfig,
+    render_cfg: RenderConfig | None,
+    run: TrainRun,
+    stats: GradientStats | None = None,
+) -> tuple[GaussianSet, GradientStats | None]:
+    """``iters`` optimizer steps on cycled views, each logged to ``run``.
+
+    Pass ``stats`` when a prune event follows: each step's gradient norms
+    are added to it and the updated stats are returned.
+    """
+    for _ in range(iters):
+        camera, target = dataset[cycler.next()]
+        result = finetune_step(scene, optimizer, camera, target, loss_cfg, render_cfg)
+        scene = result.scene
+        if stats is not None:
+            stats = accumulate_gradient_stats(stats, result.grad_norms)
+        run.iteration += 1
+        run.log(result.loss, result.psnr, scene.count)
+    return scene, stats
 
 
 def _prune_event(
     scene: GaussianSet,
     optimizer: OptimizerState,
     stats: GradientStats,
-    schedule: PruneSchedule,
+    criterion: PruneCriterion,
     gamma_iter: float,
     report: PruneReport,
     iteration: int,
-):
-    opacities = scene.activated_opacities()
-    scores = stats.scores(schedule.score_reduction)
-    keep = prune_mask(opacities, scores, gamma_iter, schedule.criterion)
+) -> tuple[GaussianSet, OptimizerState]:
+    keep, op_thr, gr_thr = prune_mask(
+        scene.activated_opacities(), stats.scores(), gamma_iter, criterion
+    )
     if not np.any(keep):
         raise EmptySceneError(f"prune at iteration {iteration} would empty the scene")
-    op_thr, gr_thr = mask_thresholds(opacities, scores, gamma_iter, schedule.criterion)
+    kept = int(keep.sum())
     report.add(
         PruneStepRecord(
             iteration=iteration,
             gamma_iter=gamma_iter,
-            kept=int(keep.sum()),
-            removed=int((~keep).sum()),
+            kept=kept,
+            removed=keep.size - kept,
             opacity_threshold=op_thr,
             gradient_threshold=gr_thr,
         )
     )
-    return apply_mask(scene, keep), optimizer.filter(keep), GradientStats.zeros(int(keep.sum()))
+    return apply_mask(scene, keep), optimizer.filter(keep)
 
 
 def run_iterative_prune(
@@ -279,44 +292,30 @@ def run_iterative_prune(
     if not dataset:
         raise InvalidParameterError("dataset is empty")
     loss_cfg = loss_cfg or LossConfig()
-    opt_cfg = opt_cfg or OptimizerConfig()
     total = schedule.interval * schedule.steps + schedule.finetune_iters
-    optimizer = OptimizerState.create(scene, opt_cfg, total)
-    stats = GradientStats.zeros(scene.count)
-    run = TrainRun(schedule=schedule, loss_config=loss_cfg, seed=seed, dataset=dataset)
+    optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), total)
+    run = TrainRun()
     report = PruneReport(initial_count=scene.count)
     cycler = _ViewCycler(len(dataset), np.random.default_rng(seed))
-    gamma_iter = schedule.gamma_iter
 
     for _ in range(schedule.steps):
-        for _ in range(schedule.interval):
-            camera, target = dataset[cycler.next()]
-            result = finetune_step(
-                scene, optimizer, camera, target, loss_cfg, render_cfg
-            )
-            scene = result.scene
-            stats = accumulate_gradient_stats(stats, _statistic(result, schedule))
-            run.iteration += 1
-            run.log(result.loss, result.psnr, scene.count)
-        scene, optimizer, stats = _prune_event(
-            scene, optimizer, stats, schedule, gamma_iter, report, run.iteration
+        scene, stats = _finetune_loop(
+            scene, optimizer, dataset, cycler, schedule.interval, loss_cfg, render_cfg,
+            run, GradientStats.zeros(scene.count),
         )
-
-    for _ in range(schedule.finetune_iters):
-        camera, target = dataset[cycler.next()]
-        result = finetune_step(scene, optimizer, camera, target, loss_cfg, render_cfg)
-        scene = result.scene
-        stats = accumulate_gradient_stats(stats, _statistic(result, schedule))
-        run.iteration += 1
-        run.log(result.loss, result.psnr, scene.count)
-
+        scene, optimizer = _prune_event(
+            scene, optimizer, stats, schedule.criterion, schedule.gamma_iter, report,
+            run.iteration,
+        )
+    scene, _ = _finetune_loop(
+        scene, optimizer, dataset, cycler, schedule.finetune_iters, loss_cfg, render_cfg, run
+    )
     return scene, report, run
 
 
 def score_pass(
     scene: GaussianSet,
     dataset: list[tuple[Camera, np.ndarray]],
-    schedule: PruneSchedule,
     loss_cfg: LossConfig,
     render_cfg: RenderConfig | None = None,
 ) -> GradientStats:
@@ -326,11 +325,8 @@ def score_pass(
     for camera, target in dataset:
         out = rasterize(scene, camera, BACKGROUND, render_cfg)
         _, d_image = training_loss(out.image, target, loss_cfg)
-        grads, norms = rasterize_backward(scene, camera, out, d_image)
-        if schedule.grad_statistic == "param":
-            stats = accumulate_gradient_stats(stats, grads.per_gaussian_norms())
-        else:
-            stats = accumulate_gradient_stats(stats, norms)
+        _, norms = rasterize_backward(scene, camera, out, d_image)
+        stats = accumulate_gradient_stats(stats, norms)
     return stats
 
 
@@ -348,29 +344,19 @@ def one_shot_prune(
     """Prune the full target fraction in one event, then fine-tune."""
     if not dataset:
         raise InvalidParameterError("dataset is empty")
+    # a one-event schedule validates gamma and finetune_iters up front
+    PruneSchedule(gamma_target=gamma, steps=1, finetune_iters=finetune_iters)
     loss_cfg = loss_cfg or LossConfig()
-    opt_cfg = opt_cfg or OptimizerConfig()
-    schedule = PruneSchedule(
-        gamma_target=gamma, steps=1, interval=1, criterion=criterion,
-        finetune_iters=finetune_iters,
-    )
-    run = TrainRun(schedule=schedule, loss_config=loss_cfg, seed=seed, dataset=dataset)
+    run = TrainRun()
     report = PruneReport(initial_count=scene.count)
 
-    stats = score_pass(scene, dataset, schedule, loss_cfg, render_cfg)
-    optimizer = OptimizerState.create(scene, opt_cfg, max(finetune_iters, 1))
-    scene, optimizer, _ = _prune_event(
-        scene, optimizer, stats, schedule, gamma, report, 0
-    )
-
+    stats = score_pass(scene, dataset, loss_cfg, render_cfg)
+    optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), finetune_iters)
+    scene, optimizer = _prune_event(scene, optimizer, stats, criterion, gamma, report, 0)
     cycler = _ViewCycler(len(dataset), np.random.default_rng(seed))
-    for _ in range(finetune_iters):
-        camera, target = dataset[cycler.next()]
-        result = finetune_step(scene, optimizer, camera, target, loss_cfg, render_cfg)
-        scene = result.scene
-        run.iteration += 1
-        run.log(result.loss, result.psnr, scene.count)
-
+    scene, _ = _finetune_loop(
+        scene, optimizer, dataset, cycler, finetune_iters, loss_cfg, render_cfg, run
+    )
     return scene, report, run
 
 
@@ -383,12 +369,16 @@ def finetune(
     seed: int = 0,
     render_cfg: RenderConfig | None = None,
 ) -> tuple[GaussianSet, TrainRun]:
-    """Pure fine-tuning: the pipeline with no prune events."""
+    """Pure fine-tuning: ``iters`` optimizer steps with no prune event."""
     if iters < 1:
         raise InvalidParameterError("iters must be >= 1")
-    schedule = PruneSchedule(gamma_target=0.0, steps=1, interval=1, finetune_iters=iters - 1)
-    scene, _, run = run_iterative_prune(
-        scene, dataset, schedule, loss_cfg, opt_cfg, seed, render_cfg
+    if not dataset:
+        raise InvalidParameterError("dataset is empty")
+    optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), iters)
+    run = TrainRun()
+    cycler = _ViewCycler(len(dataset), np.random.default_rng(seed))
+    scene, _ = _finetune_loop(
+        scene, optimizer, dataset, cycler, iters, loss_cfg or LossConfig(), render_cfg, run
     )
     return scene, run
 

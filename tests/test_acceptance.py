@@ -90,8 +90,8 @@ def test_criterion_3_mask_oracle():
         alpha = rng.uniform(0, 1, n)
         grads = rng.exponential(1.0, n)
         gamma = float(rng.uniform(0, 0.95))
-        union = prune_mask(alpha, grads, gamma, PruneCriterion.GRADIENT_AWARE)
-        opacity = prune_mask(alpha, grads, gamma, PruneCriterion.OPACITY_ONLY)
+        union = prune_mask(alpha, grads, gamma, PruneCriterion.GRADIENT_AWARE)[0]
+        opacity = prune_mask(alpha, grads, gamma, PruneCriterion.OPACITY_ONLY)[0]
         np.testing.assert_array_equal(
             union, brute_force_keep(alpha, grads, gamma, PruneCriterion.GRADIENT_AWARE)
         )

@@ -143,6 +143,33 @@ class TestTrim:
         assert rc == 0
         assert read_ply(out).count == 120  # flag beat the config value
 
+    def test_run_config_loses_to_flags_at_default_values(self, workspace, tmp_path):
+        scene, manifest = data_paths(workspace)
+        schedule = "criterion opacity\nsteps 1\ninterval 2\nfinetune_iters 1\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"scene {scene}\nmanifest {manifest}\nout_scene {tmp_path / 'cfg.ply'}\n"
+            f"seed 5\ngamma_target 0.75\n{schedule}"
+        )
+        rc = main(["trim", "--config", str(cfg), "--seed", "0", "--gamma-target", "0.5"])
+        assert rc == 0
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(
+            f"scene {scene}\nmanifest {manifest}\nout_scene {tmp_path / 'flags.ply'}\n"
+            f"{schedule}"
+        )
+        rc = main(["trim", "--config", str(plain), "--seed", "0", "--gamma-target", "0.5"])
+        assert rc == 0
+        assert read_ply(tmp_path / "cfg.ply").count == 60  # gamma 0.5, not 0.75
+        assert sha(tmp_path / "cfg.ply") == sha(tmp_path / "flags.ply")  # seed 0, not 5
+
+    def test_run_config_non_numeric_value(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps x\n")
+        rc = main(["trim", "--config", str(cfg)])
+        assert rc == 1
+        assert "'steps'" in capsys.readouterr().err
+
     def test_run_config_unknown_key(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus_key 1\n")
@@ -309,6 +336,15 @@ class TestAblate:
             rows = list(csv.DictReader((tmp_path / name).open()))
             outputs.append([{k: v for k, v in r.items() if k != "runtime_s"} for r in rows])
         assert outputs[0] == outputs[1]
+
+    def test_non_numeric_gamma_fails_cleanly(self, workspace, tmp_path, capsys):
+        scene, manifest = data_paths(workspace)
+        rc = main(
+            ["ablate", "--scene", str(scene), "--manifest", str(manifest),
+             "--csv", str(tmp_path / "a.csv"), "--gammas", "0.5,x"]
+        )
+        assert rc == 1
+        assert "'x'" in capsys.readouterr().err
 
 
 class TestParser:

@@ -119,12 +119,12 @@ class TestPruneMask:
         rng = np.random.default_rng(2)
         alpha = rng.uniform(0, 1, 50)
         grads = rng.uniform(0, 1, 50)
-        assert prune_mask(alpha, grads, 0.0).all()
+        assert prune_mask(alpha, grads, 0.0)[0].all()
 
     def test_worked_union_example(self):
         alpha = np.array([0.1, 0.2, 0.3, 0.4])
         grads = np.array([4.0, 3.0, 2.0, 1.0])
-        keep = prune_mask(alpha, grads, 0.5, PruneCriterion.GRADIENT_AWARE)
+        keep = prune_mask(alpha, grads, 0.5, PruneCriterion.GRADIENT_AWARE)[0]
         np.testing.assert_array_equal(keep, [True, True, True, True])
         np.testing.assert_array_equal(
             keep, brute_force_keep(alpha, grads, 0.5, PruneCriterion.GRADIENT_AWARE)
@@ -133,7 +133,7 @@ class TestPruneMask:
     def test_worked_opacity_only_example(self):
         alpha = np.array([0.1, 0.2, 0.3, 0.4])
         grads = np.array([4.0, 3.0, 2.0, 1.0])
-        keep = prune_mask(alpha, grads, 0.5, PruneCriterion.OPACITY_ONLY)
+        keep = prune_mask(alpha, grads, 0.5, PruneCriterion.OPACITY_ONLY)[0]
         np.testing.assert_array_equal(keep, [False, False, True, True])
 
     @pytest.mark.parametrize("seed", range(10))
@@ -145,7 +145,7 @@ class TestPruneMask:
         fraction = float(rng.uniform(0, 0.95))
         for criterion in PruneCriterion:
             np.testing.assert_array_equal(
-                prune_mask(alpha, grads, fraction, criterion),
+                prune_mask(alpha, grads, fraction, criterion)[0],
                 brute_force_keep(alpha, grads, fraction, criterion),
             )
 
@@ -156,8 +156,8 @@ class TestPruneMask:
         alpha = rng.uniform(0, 1, n)
         grads = rng.exponential(1.0, n)
         fraction = float(rng.uniform(0, 0.95))
-        union = prune_mask(alpha, grads, fraction, PruneCriterion.GRADIENT_AWARE)
-        opacity = prune_mask(alpha, grads, fraction, PruneCriterion.OPACITY_ONLY)
+        union = prune_mask(alpha, grads, fraction, PruneCriterion.GRADIENT_AWARE)[0]
+        opacity = prune_mask(alpha, grads, fraction, PruneCriterion.OPACITY_ONLY)[0]
         assert np.all(union | ~opacity)  # opacity keep-set is contained in union
 
     @pytest.mark.parametrize("seed", range(10))
@@ -168,9 +168,9 @@ class TestPruneMask:
         grads = rng.exponential(1.0, n)
         fraction = float(rng.uniform(0, 0.95))
         expected = int(math.floor(fraction * n))
-        opacity = prune_mask(alpha, grads, fraction, PruneCriterion.OPACITY_ONLY)
+        opacity = prune_mask(alpha, grads, fraction, PruneCriterion.OPACITY_ONLY)[0]
         assert int((~opacity).sum()) == expected
-        union = prune_mask(alpha, grads, fraction, PruneCriterion.GRADIENT_AWARE)
+        union = prune_mask(alpha, grads, fraction, PruneCriterion.GRADIENT_AWARE)[0]
         assert int((~union).sum()) <= expected
 
     def test_length_mismatch(self):

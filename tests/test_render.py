@@ -394,8 +394,7 @@ class TestGradientStats:
         stats = GradientStats.zeros(2)
         stats = accumulate_gradient_stats(stats, np.array([1.0, 0.0]))
         stats = accumulate_gradient_stats(stats, np.array([2.0, 0.0]))
-        np.testing.assert_array_equal(stats.scores("mean"), [1.5, 0.0])
-        np.testing.assert_array_equal(stats.scores("sum"), [3.0, 0.0])
+        np.testing.assert_array_equal(stats.scores(), [1.5, 0.0])
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidParameterError):

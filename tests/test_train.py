@@ -220,6 +220,25 @@ class TestIterativePrune:
         assert run.history[-1].count == out.count
 
 
+class TestFinetune:
+    @pytest.mark.parametrize("iters,seed", [(1, 0), (6, 4)])
+    def test_matches_gamma_zero_pipeline(self, small_dataset, iters, seed):
+        # plain fine-tuning takes no prune event, yet must walk the same
+        # views with the same learning-rate decay as a gamma-0 pipeline run
+        scene, views = small_dataset
+        tuned, run = finetune(scene, views, iters, seed=seed, render_cfg=FAST)
+        schedule = PruneSchedule(
+            gamma_target=0.0, steps=1, interval=1, finetune_iters=iters - 1
+        )
+        piped, _, piped_run = run_iterative_prune(
+            scene, views, schedule, seed=seed, render_cfg=FAST
+        )
+        assert scene_bits(tuned) == scene_bits(piped)
+        assert [(h.iteration, h.loss, h.psnr, h.count) for h in run.history] == [
+            (h.iteration, h.loss, h.psnr, h.count) for h in piped_run.history
+        ]
+
+
 class TestOneShot:
     def test_gamma_zero_is_pure_finetuning(self, small_dataset):
         scene, views = small_dataset
