@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SplatError
-from .metrics import LossConfig, compression_ratio, model_size_bytes, psnr, ssim
+from .metrics import LossConfig, compression_ratio, model_size_bytes
 from .prune import PruneCriterion, PruneSchedule
 from .render import rasterize
 from .sceneio import load_dataset, make_synthetic, read_ply, write_ply, write_ppm
@@ -107,6 +107,11 @@ def cmd_synth(args) -> int:
 
 
 def _config_value(key: str, text: str, path):
+    names = {"criterion": CRITERIA, "preset": PRESETS}.get(key)
+    if names is not None and text not in names:
+        raise SplatError(
+            f"config key {key!r} in {path}: {text!r} is not one of {', '.join(sorted(names))}"
+        )
     kind = str
     if key in CONFIG_INT_KEYS:
         kind = int
@@ -199,20 +204,17 @@ def cmd_eval(args) -> int:
     loss_cfg = LossConfig()
     baseline_bytes = model_size_bytes(baseline)
     references = [rasterize(baseline, camera, BACKGROUND).image for camera, _ in views]
+    dataset = [(camera, ref) for (camera, _), ref in zip(views, references)]
     rows = []
     for scene_path in args.scene:
         scene = read_ply(scene_path)
-        psnrs, ssims = [], []
-        for (camera, _), ref in zip(views, references):
-            ours = rasterize(scene, camera, BACKGROUND).image
-            psnrs.append(psnr(ours, ref))
-            ssims.append(ssim(ours, ref, loss_cfg))
+        quality = evaluate(scene, dataset, loss_cfg)
         scene_bytes = model_size_bytes(scene)
         row = {
             "scene": str(scene_path),
             "baseline": str(args.baseline),
-            "ssim": float(np.mean(ssims)),
-            "psnr": float(np.mean(psnrs)),
+            "ssim": quality["ssim"],
+            "psnr": quality["psnr"],
             "size_mb": scene_bytes / 1e6,
             "baseline_mb": baseline_bytes / 1e6,
             "compression": compression_ratio(baseline_bytes, scene_bytes),

@@ -1,10 +1,12 @@
 """Differentiable CPU splat rasterizer.
 
 Forward: project each 3D Gaussian to an image-plane ellipse (mean, 2x2
-covariance via the perspective Jacobian), bin the splats into 16x16 pixel
-tiles, and alpha-composite them front to back per pixel. Backward: replay
-the compositing from the stored per-tile contributor lists and chain the
-pixel gradients back to every stored parameter.
+covariance via the perspective Jacobian), bin the splats into square tiles of
+``RenderConfig.tile_size`` pixels, and alpha-composite them front to back per
+pixel. The forward keeps its projection of the visible splats and its
+per-tile contributor lists in the ``RenderOutput``. Backward: re-run the same
+tile routine on that state and chain the pixel gradients back to every
+stored parameter.
 
 All screen-space math runs in float64 regardless of the float32 storage so
 analytic gradients match central finite differences tightly.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,15 +74,19 @@ class Projected2D:
 class RenderOutput:
     image: np.ndarray                  # (H, W, 3) in [0, 1]
     terminal_transmittance: np.ndarray  # (H, W) in [0, 1]
-    # Depth-ordered contributor indices per occupied tile, keyed (ty, tx).
-    sorted_contributor_lists: dict[tuple[int, int], np.ndarray]
-    n_gaussians: int
     background: np.ndarray
     config: RenderConfig
-    # Projection cache so the backward pass does not redo per-Gaussian work;
-    # keyed to the exact scene object the forward pass saw.
-    _prep: "_Prepared | None" = field(default=None, repr=False)
-    _scene: "GaussianSet | None" = field(default=None, repr=False)
+    # The forward's state for the backward pass, valid only for the exact
+    # scene object it rendered: the visible-row projection and, per occupied
+    # tile keyed (ty, tx), depth-ordered contributor rows into it.
+    _prep: _Prepared = field(repr=False)
+    _tiles: dict[tuple[int, int], np.ndarray] = field(repr=False)
+    _scene: GaussianSet = field(repr=False)
+
+    @property
+    def sorted_contributor_lists(self) -> dict[tuple[int, int], np.ndarray]:
+        """Depth-ordered original Gaussian indices per occupied tile, keyed (ty, tx)."""
+        return {key: self._prep.vis_idx[rows] for key, rows in self._tiles.items()}
 
 
 @dataclass
@@ -154,11 +161,25 @@ def project(
     config = config or RenderConfig()
     full = _project_full(gaussians, camera, config, identity_jacobian)
     return Projected2D(
-        mean2d=full["mean2d"],
-        cov2d=full["cov2d"],
-        depth=full["depth"],
-        visible=full["visible"],
+        mean2d=full.mean2d, cov2d=full.cov2d, depth=full.depth, visible=full.visible
     )
+
+
+class _Projection(NamedTuple):
+    """Full-length projection plus the intermediates the backward chains through."""
+
+    mean2d: np.ndarray   # (N, 2)
+    cov2d: np.ndarray    # (N, 2, 2)
+    depth: np.ndarray    # (N,)
+    visible: np.ndarray  # (N,) bool
+    det: np.ndarray      # (N,) det(cov2d)
+    t_cam: np.ndarray    # (N, 3) camera-space position
+    p_mat: np.ndarray    # (N, 2, 3) J @ W_rot
+    sigma3: np.ndarray   # (N, 3, 3) world covariance M M^T
+    m_mat: np.ndarray    # (N, 3, 3) R diag(s)
+    rot: np.ndarray      # (N, 3, 3)
+    scales: np.ndarray   # (N, 3)
+    q_hat: np.ndarray    # (N, 4) unit quaternion
 
 
 def _project_full(
@@ -166,7 +187,7 @@ def _project_full(
     camera: Camera,
     config: RenderConfig,
     identity_jacobian: bool = False,
-) -> dict:
+) -> _Projection:
     n = gaussians.count
     w2c = camera.world_to_camera
     rot_w2c = w2c[:3, :3]
@@ -223,28 +244,19 @@ def _project_full(
     mean2d[~in_front] = 0.0
     cov2d[~in_front] = 0.0
 
-    return {
-        "mean2d": mean2d,
-        "cov2d": cov2d,
-        "depth": z,
-        "visible": visible,
-        "t_cam": t_cam,
-        "sigma3": sigma3,
-        "m_mat": m_mat,
-        "rot": rot,
-        "scales": scales,
-        "q_hat": q_hat,
-        "p_mat": p_mat,
-        "det": det,
-    }
+    return _Projection(
+        mean2d=mean2d, cov2d=cov2d, depth=z, visible=visible, det=det, t_cam=t_cam,
+        p_mat=p_mat, sigma3=sigma3, m_mat=m_mat, rot=rot, scales=scales, q_hat=q_hat,
+    )
 
 
 @dataclass
 class _Prepared:
-    """Everything the per-tile loops consume, for visible Gaussians only."""
+    """Everything the tile loops and the backward chain read, visible rows only."""
 
     vis_idx: np.ndarray      # original indices of visible Gaussians
     mean2d: np.ndarray       # (V, 2)
+    cov2d: np.ndarray        # (V, 2, 2) dilated
     conic: np.ndarray        # (V, 2, 2) inverse of dilated cov2d
     depth: np.ndarray        # (V,)
     color: np.ndarray        # (V, 3) clamped SH color
@@ -252,19 +264,23 @@ class _Prepared:
     opacity: np.ndarray      # (V,)
     view_dir: np.ndarray     # (V, 3) unnormalized (position - camera center)
     basis: np.ndarray        # (V, 16)
-    full: dict               # projection intermediates, full length N
+    # Projection intermediates the backward chain reads (see _Projection).
+    t_cam: np.ndarray
+    p_mat: np.ndarray
+    sigma3: np.ndarray
+    m_mat: np.ndarray
+    rot: np.ndarray
+    scales: np.ndarray
+    q_hat: np.ndarray
 
 
 def _prepare(
     gaussians: GaussianSet, camera: Camera, config: RenderConfig
 ) -> _Prepared:
     full = _project_full(gaussians, camera, config)
-    vis_idx = np.flatnonzero(full["visible"])
-    mean2d = full["mean2d"][vis_idx]
-    cov2d = full["cov2d"][vis_idx]
-    depth = full["depth"][vis_idx]
-
-    det = full["det"][vis_idx]
+    vis_idx = np.flatnonzero(full.visible)
+    cov2d = full.cov2d[vis_idx]
+    det = full.det[vis_idx]
     conic = np.empty_like(cov2d)
     conic[:, 0, 0] = cov2d[:, 1, 1] / det
     conic[:, 1, 1] = cov2d[:, 0, 0] / det
@@ -283,15 +299,22 @@ def _prepare(
 
     return _Prepared(
         vis_idx=vis_idx,
-        mean2d=mean2d,
+        mean2d=full.mean2d[vis_idx],
+        cov2d=cov2d,
         conic=conic,
-        depth=depth,
+        depth=full.depth[vis_idx],
         color=color,
         color_raw=color_raw,
         opacity=np.atleast_1d(opacity),
         view_dir=dir_raw,
         basis=basis,
-        full=full,
+        t_cam=full.t_cam[vis_idx],
+        p_mat=full.p_mat[vis_idx],
+        sigma3=full.sigma3[vis_idx],
+        m_mat=full.m_mat[vis_idx],
+        rot=full.rot[vis_idx],
+        scales=full.scales[vis_idx],
+        q_hat=full.q_hat[vis_idx],
     )
 
 
@@ -329,9 +352,8 @@ def _bin_tiles(
         return {}
 
     if math.isfinite(config.sigma_cutoff):
-        cov2d = prep.full["cov2d"][prep.vis_idx]
-        rx = config.sigma_cutoff * np.sqrt(np.maximum(cov2d[:, 0, 0], 0.0))
-        ry = config.sigma_cutoff * np.sqrt(np.maximum(cov2d[:, 1, 1], 0.0))
+        rx = config.sigma_cutoff * np.sqrt(np.maximum(prep.cov2d[:, 0, 0], 0.0))
+        ry = config.sigma_cutoff * np.sqrt(np.maximum(prep.cov2d[:, 1, 1], 0.0))
         tx0 = np.clip(np.floor((prep.mean2d[:, 0] - rx) / ts).astype(np.int64), 0, n_tx - 1)
         tx1 = np.clip(np.floor((prep.mean2d[:, 0] + rx) / ts).astype(np.int64), 0, n_tx - 1)
         ty0 = np.clip(np.floor((prep.mean2d[:, 1] - ry) / ts).astype(np.int64), 0, n_ty - 1)
@@ -375,20 +397,28 @@ def _bin_tiles(
     return tiles
 
 
-def _tile_alphas(
+def _composite_tile(
     prep: _Prepared,
     members: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
     config: RenderConfig,
-    need_aux: bool = False,
+    bg: np.ndarray,
 ):
-    """Alpha matrix (K contributors x P pixels) for one tile.
+    """Alphas and front-to-back compositing of one tile's K contributors.
+
+    Returns ``(alpha, gauss, dxs, dys, weights, t_before, active, t_final,
+    pix)``: (K, P) clamped alphas and Gaussian falloffs, the (K, Wt) and
+    (K, Ht) pixel offsets from each mean, (K, P) compositing weights,
+    transmittances in front of each contributor and acceptance masks, the
+    (P,) terminal transmittance and the (P, 3) color before the [0, 1] clip.
+    The forward and the backward both call this.
 
     The quadratic form is assembled from per-axis (K, tile) pieces, the only
-    full K x P passes being the final broadcast sum and the exp. With
-    ``need_aux`` the pre-clamp alphas, Gaussian falloffs, and per-axis pixel
-    offsets needed by the backward pass are returned as well.
+    full K x P passes being the final broadcast sum and the exp; the K x P
+    steps run in place where they can, to keep per-tile temporaries few. A
+    contributor is dropped (along with everything behind it) as soon as
+    accepting it would push the pixel's transmittance below the floor.
     """
     mx = prep.mean2d[members, 0]
     my = prep.mean2d[members, 1]
@@ -400,45 +430,35 @@ def _tile_alphas(
     qx = (-0.5 * a)[:, None] * dxs * dxs
     qy = (-0.5 * c)[:, None] * dys * dys
     bdx = b[:, None] * dxs
-    power = np.subtract(
-        qy[:, :, None], bdx[:, None, :] * dys[:, :, None]
-    )  # (K, Ht, Wt)
+    power = bdx[:, None, :] * dys[:, :, None]  # (K, Ht, Wt)
+    np.subtract(qy[:, :, None], power, out=power)
     power += qx[:, None, :]
     k = members.size
     gauss = np.exp(power, out=power).reshape(k, -1)
-    alpha_raw = gauss * prep.opacity[members][:, None]
-    alpha = np.minimum(alpha_raw, config.alpha_clamp)
+    alpha = gauss * prep.opacity[members][:, None]
+    np.minimum(alpha, config.alpha_clamp, out=alpha)
     if config.alpha_skip > 0.0:
         alpha[alpha < config.alpha_skip] = 0.0
-    if need_aux:
-        return alpha, alpha_raw, gauss, dxs, dys
-    return alpha
 
-
-def _composite(alpha: np.ndarray, floor: float):
-    """Front-to-back transmittances with early termination at ``floor``.
-
-    A contributor is dropped (along with everything behind it) as soon as
-    accepting it would push the pixel's transmittance below ``floor``.
-    """
-    inc = np.cumprod(1.0 - alpha, axis=0)
-    t_before = np.empty_like(inc)
-    t_before[0] = 1.0
-    t_before[1:] = inc[:-1]
-    if floor <= 0.0:
-        weights = alpha * t_before
-        active = np.ones(alpha.shape, bool)
-        t_final = inc[-1] if alpha.shape[0] else np.ones(alpha.shape[1])
-        return weights, t_before, active, t_final
-    active = inc >= floor
-    weights = alpha * t_before * active
+    # Row i is the transmittance in front of contributor i; row i + 1 is
+    # the transmittance after accepting it.
+    trans = np.empty((k + 1, alpha.shape[1]))
+    trans[0] = 1.0
+    inc = trans[1:]
+    np.subtract(1.0, alpha, out=inc)
+    np.cumprod(inc, axis=0, out=inc)
+    t_before = trans[:-1]
+    active = inc >= config.transmittance_floor
+    weights = alpha * t_before
+    weights *= active
     n_active = active.sum(axis=0)
     t_final = np.where(
         n_active > 0,
         inc[np.maximum(n_active - 1, 0), np.arange(alpha.shape[1])],
         1.0,
     )
-    return weights, t_before, active, t_final
+    pix = weights.T @ prep.color[members] + t_final[:, None] * bg
+    return alpha, gauss, dxs, dys, weights, t_before, active, t_final, pix
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +488,7 @@ def rasterize(
 
     for key, members in tiles.items():
         ysl, xsl, xs, ys = grid[key]
-        alpha = _tile_alphas(prep, members, xs, ys, config)
-        weights, _, _, t_final = _composite(alpha, config.transmittance_floor)
-        pix = weights.T @ prep.color[members] + t_final[:, None] * bg
+        t_final, pix = _composite_tile(prep, members, xs, ys, config, bg)[-2:]
         shape = (ysl.stop - ysl.start, xsl.stop - xsl.start)
         image[ysl, xsl] = pix.reshape(shape + (3,))
         transmittance[ysl, xsl] = t_final.reshape(shape)
@@ -479,13 +497,10 @@ def rasterize(
     return RenderOutput(
         image=image,
         terminal_transmittance=transmittance,
-        sorted_contributor_lists={
-            key: prep.vis_idx[members] for key, members in tiles.items()
-        },
-        n_gaussians=gaussians.count,
         background=bg,
         config=config,
         _prep=prep,
+        _tiles=tiles,
         _scene=gaussians,
     )
 
@@ -506,12 +521,11 @@ def rasterize_backward(
     Returns the parameter gradients and the per-Gaussian L2 norm of the
     gradient with respect to the projected 2D mean. Gaussians that did not
     contribute in the forward pass receive exactly zero gradient.
+    ``render_output`` must come from ``rasterize`` on this very ``gaussians``
+    object: the backward reuses the forward's projection and tile lists.
     """
-    n = gaussians.count
-    if render_output.n_gaussians != n:
-        raise InvalidStateError(
-            f"render output holds {render_output.n_gaussians} Gaussians, scene has {n}"
-        )
+    if render_output._scene is not gaussians:
+        raise InvalidStateError("render output was not rendered from this scene object")
     d_image = np.asarray(d_image, np.float64)
     if d_image.shape != (camera.height, camera.width, 3):
         raise InvalidStateError(
@@ -521,14 +535,7 @@ def rasterize_backward(
 
     config = render_output.config
     bg = render_output.background
-    if render_output._prep is not None and render_output._scene is gaussians:
-        prep = render_output._prep
-    else:
-        prep = _prepare(gaussians, camera, config)
-
-    vis_pos = np.full(n, -1, np.int64)
-    vis_pos[prep.vis_idx] = np.arange(prep.vis_idx.size)
-
+    prep = render_output._prep
     v = prep.vis_idx.size
     d_color = np.zeros((v, 3))
     d_opacity = np.zeros(v)
@@ -536,21 +543,14 @@ def rasterize_backward(
     d_conic = np.zeros((v, 2, 2))
 
     grid = _tile_grid(camera.height, camera.width, config.tile_size)
-    for key, orig_ids in render_output.sorted_contributor_lists.items():
-        members = vis_pos[orig_ids]
-        if np.any(members < 0):
-            raise InvalidStateError("render output does not match this scene")
+    for key, members in render_output._tiles.items():
         ysl, xsl, xs, ys = grid[key]
-        alpha, alpha_raw, gauss, dxs, dys = _tile_alphas(
-            prep, members, xs, ys, config, need_aux=True
-        )
-        weights, t_before, active, t_final = _composite(
-            alpha, config.transmittance_floor
+        alpha, gauss, dxs, dys, weights, t_before, active, t_final, pix = (
+            _composite_tile(prep, members, xs, ys, config, bg)
         )
 
         g_pix = d_image[ysl, xsl].reshape(-1, 3)
-        raw_pix = weights.T @ prep.color[members] + t_final[:, None] * bg
-        g_pix = np.where(raw_pix <= 1.0, g_pix, 0.0)  # adjoint of the [0,1] clip
+        g_pix = np.where(pix <= 1.0, g_pix, 0.0)  # adjoint of the [0,1] clip
 
         col = prep.color[members]
         d_color[members] += weights @ g_pix
@@ -564,7 +564,8 @@ def rasterize_backward(
         suffix /= 1.0 - alpha
         d_alpha = t_before * e
         d_alpha -= suffix
-        d_alpha *= (alpha > 0) & active & (alpha_raw < config.alpha_clamp)
+        # zero where skipped, terminated, or where the clamp bound alpha
+        d_alpha *= (alpha > 0) & active & (alpha < config.alpha_clamp)
         d_opacity[members] += np.einsum("kp,kp->k", gauss, d_alpha)
 
         d_power = gauss * d_alpha
@@ -591,7 +592,7 @@ def rasterize_backward(
     grads = _chain_to_parameters(
         gaussians, camera, prep, d_color, d_opacity, d_mean2d, d_conic
     )
-    norms = np.zeros(n)
+    norms = np.zeros(gaussians.count)
     norms[prep.vis_idx] = np.linalg.norm(d_mean2d, axis=1)
     return grads, norms
 
@@ -605,28 +606,24 @@ def _chain_to_parameters(
     d_mean2d: np.ndarray,
     d_conic: np.ndarray,
 ) -> ParamGradients:
-    n = gaussians.count
-    out = ParamGradients.zeros(n)
+    out = ParamGradients.zeros(gaussians.count)
     vis = prep.vis_idx
     if vis.size == 0:
         return out
-    full = prep.full
 
     # conic = inv(cov2d): dL/dCov = -conic @ dL/dConic @ conic
     conic = prep.conic
     d_cov2d = -conic @ d_conic @ conic
 
-    p_mat = full["p_mat"][vis]       # (V, 2, 3) = J @ W_rot
-    sigma3 = full["sigma3"][vis]
+    p_mat = prep.p_mat  # (V, 2, 3) = J @ W_rot
     d_sigma3 = np.swapaxes(p_mat, 1, 2) @ d_cov2d @ p_mat
-    d_p = (d_cov2d + np.swapaxes(d_cov2d, 1, 2)) @ p_mat @ sigma3
+    d_p = (d_cov2d + np.swapaxes(d_cov2d, 1, 2)) @ p_mat @ prep.sigma3
     rot_w2c = camera.world_to_camera[:3, :3]
     d_jac = d_p @ rot_w2c.T
 
     # Perspective chain: both the Jacobian entries and the projected mean
     # depend on the camera-space position t = (x, y, z).
-    t_cam = full["t_cam"][vis]
-    x, y, z = t_cam[:, 0], t_cam[:, 1], t_cam[:, 2]
+    x, y, z = prep.t_cam[:, 0], prep.t_cam[:, 1], prep.t_cam[:, 2]
     fx, fy = camera.fx, camera.fy
     inv_z = 1.0 / z
     inv_z2 = inv_z * inv_z
@@ -657,13 +654,10 @@ def _chain_to_parameters(
     d_logit = o * (1.0 - o) * d_opacity
 
     # Covariance chain: Sigma3 = M M^T, M = R diag(s), s = exp(log_scales).
-    m_mat = full["m_mat"][vis]
-    rot = full["rot"][vis]
-    scales = full["scales"][vis]
-    d_m = (d_sigma3 + np.swapaxes(d_sigma3, 1, 2)) @ m_mat
-    d_log_scales = scales * np.einsum("vrk,vrk->vk", rot, d_m)
-    d_rot_mat = d_m * scales[:, None, :]
-    d_qhat = _rotation_quaternion_vjp(full["q_hat"][vis], d_rot_mat)
+    d_m = (d_sigma3 + np.swapaxes(d_sigma3, 1, 2)) @ prep.m_mat
+    d_log_scales = prep.scales * np.einsum("vrk,vrk->vk", prep.rot, d_m)
+    d_rot_mat = d_m * prep.scales[:, None, :]
+    d_qhat = _rotation_quaternion_vjp(prep.q_hat, d_rot_mat)
     q = gaussians.rotations[vis].astype(np.float64)
     d_q = _normalize_vjp(q, d_qhat)
 

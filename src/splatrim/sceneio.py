@@ -31,28 +31,24 @@ PLY_PROPERTIES = (
 )
 
 
-class PlyHeaderError(SplatError, ValueError):
+class PlyError(SplatError, ValueError):
+    """A malformed PLY file; ``offset`` locates the fault, in bytes from the start."""
+
+    def __init__(self, message: str, offset: int):
+        self.offset = offset
+        super().__init__(f"{message} (byte offset {offset})")
+
+
+class PlyHeaderError(PlyError):
     """The file is not a binary little-endian PLY of the expected shape."""
 
-    def __init__(self, message: str, offset: int):
-        self.offset = offset
-        super().__init__(f"{message} (byte offset {offset})")
 
-
-class PlySchemaError(SplatError, ValueError):
+class PlySchemaError(PlyError):
     """The header parses but declares the wrong properties."""
 
-    def __init__(self, message: str, offset: int):
-        self.offset = offset
-        super().__init__(f"{message} (byte offset {offset})")
 
-
-class PlyBodyError(SplatError, ValueError):
+class PlyBodyError(PlyError):
     """The binary body does not hold exactly the declared vertices."""
-
-    def __init__(self, message: str, offset: int):
-        self.offset = offset
-        super().__init__(f"{message} (byte offset {offset})")
 
 
 def ply_header_bytes(count: int) -> bytes:

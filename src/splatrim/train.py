@@ -168,11 +168,11 @@ class HistoryEntry:
 class TrainRun:
     """Per-iteration record of one training run."""
 
-    iteration: int = 0
     history: list[HistoryEntry] = field(default_factory=list)
 
     def log(self, loss: float, psnr_db: float, count: int) -> None:
-        self.history.append(HistoryEntry(self.iteration, loss, psnr_db, count))
+        """Record the next iteration; iterations count from 1."""
+        self.history.append(HistoryEntry(len(self.history) + 1, loss, psnr_db, count))
 
 
 @dataclass
@@ -246,7 +246,6 @@ def _finetune_loop(
         scene = result.scene
         if stats is not None:
             stats = accumulate_gradient_stats(stats, result.grad_norms)
-        run.iteration += 1
         run.log(result.loss, result.psnr, scene.count)
     return scene, stats
 
@@ -305,7 +304,7 @@ def run_iterative_prune(
         )
         scene, optimizer = _prune_event(
             scene, optimizer, stats, schedule.criterion, schedule.gamma_iter, report,
-            run.iteration,
+            len(run.history),
         )
     scene, _ = _finetune_loop(
         scene, optimizer, dataset, cycler, schedule.finetune_iters, loss_cfg, render_cfg, run

@@ -170,6 +170,30 @@ class TestTrim:
         assert rc == 1
         assert "'steps'" in capsys.readouterr().err
 
+    def test_run_config_unknown_criterion(self, workspace, tmp_path, capsys):
+        scene, manifest = data_paths(workspace)
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "o.ply"
+        cfg.write_text(f"scene {scene}\nmanifest {manifest}\nout_scene {out}\ncriterion foo\n")
+        rc = main(["trim", "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'criterion'" in err and "'foo'" in err and "gradient, opacity" in err
+        assert not out.exists()
+
+    def test_run_config_unknown_preset(self, workspace, tmp_path, capsys):
+        scene, manifest = data_paths(workspace)
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "o.ply"
+        cfg.write_text(f"scene {scene}\nmanifest {manifest}\nout_scene {out}\npreset huge\n")
+        rc = main(["trim", "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'preset'" in err and "'huge'" in err and "desk, paper" in err
+        assert not out.exists()
+
     def test_run_config_unknown_key(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus_key 1\n")

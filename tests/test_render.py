@@ -146,16 +146,24 @@ class TestRasterize:
         )
         np.testing.assert_allclose(out.image[7, 7], expected, atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RenderConfig(sigma_cutoff=math.inf, alpha_skip=0.0, transmittance_floor=0.0),
+            RenderConfig(tile_size=8, alpha_skip=0),
+        ],
+        ids=["exact", "desk"],
+    )
     @pytest.mark.parametrize("seed", range(3))
-    def test_compositing_conservation(self, seed):
-        # with no termination, per-pixel weights plus terminal transmittance
-        # telescope to exactly one; verified via a white-on-black render
+    def test_compositing_conservation(self, seed, cfg):
+        # per-pixel weights plus terminal transmittance telescope to exactly
+        # one, at floor 0 and at the desk's 1e-4 termination floor; verified
+        # via a white-on-black render
         g = random_scene(seed, 20)
         white = g.sh_coeffs.copy()
         white[:, 0, :] = (1.0 - 0.5) / SH_C0
         white[:, 1:, :] = 0.0
         g = g.with_updates(sh_coeffs=white)
-        cfg = RenderConfig(sigma_cutoff=math.inf, alpha_skip=0.0, transmittance_floor=0.0)
         out = rasterize(g, camera_16(), BLACK, cfg)
         total = out.image[..., 0] + out.terminal_transmittance
         np.testing.assert_allclose(total, 1.0, atol=1e-5)
@@ -358,6 +366,16 @@ class TestBackwardPlumbing:
         )
         with pytest.raises(InvalidStateError):
             rasterize_backward(smaller, cam, out, np.zeros((16, 16, 3)))
+
+    def test_same_count_different_scene_rejected(self):
+        # the backward reuses the forward's projection, so it only accepts
+        # the scene object that was rendered
+        g = random_scene(3, 6)
+        cam = camera_16()
+        out = rasterize(g, cam, BLACK)
+        moved = g.with_updates(positions=g.positions + 0.01)
+        with pytest.raises(InvalidStateError):
+            rasterize_backward(moved, cam, out, np.zeros((16, 16, 3)))
 
     def test_mismatched_gradient_shape_rejected(self):
         g = random_scene(4, 6)
