@@ -149,9 +149,16 @@ def cmd_trim(args) -> int:
         criterion=CRITERIA[args.criterion],
         **_schedule_fields(args, args.preset),
     )
+    inputs = {Path(p).resolve(): p for p in (args.scene, args.manifest)}
+    for out in (args.out_scene, args.report, args.history):
+        src = inputs.get(Path(out).resolve()) if out is not None else None
+        if src is not None:
+            raise SplatError(f"output {out} would overwrite the input {src}")
+    # resolve every input before the long run
     scene = read_ply(args.scene)
     baseline_bytes = model_size_bytes(scene)
     train_views = load_dataset(args.manifest, split="train")
+    test_views = load_dataset(args.manifest, split="test")
     loss_cfg = LossConfig(lam=args.lam)
 
     pruned, report, run = run_iterative_prune(
@@ -169,7 +176,6 @@ def cmd_trim(args) -> int:
         _write_csv(args.history, ["iteration", "loss", "psnr", "count"], _history_rows(run))
 
     pruned_bytes = model_size_bytes(pruned)
-    test_views = load_dataset(args.manifest, split="test")
     quality = evaluate(pruned, test_views, loss_cfg)
     print(f"count: {pruned.count} (from {scene.count})")
     print(f"size: {pruned_bytes / 1e6:.3f} MB (from {baseline_bytes / 1e6:.3f} MB)")

@@ -77,11 +77,12 @@ class RenderOutput:
     background: np.ndarray
     config: RenderConfig
     # The forward's state for the backward pass, valid only for the exact
-    # scene object it rendered: the visible-row projection and, per occupied
-    # tile keyed (ty, tx), depth-ordered contributor rows into it.
+    # scene and camera objects it rendered: the visible-row projection and,
+    # per occupied tile keyed (ty, tx), depth-ordered contributor rows into it.
     _prep: _Prepared = field(repr=False)
     _tiles: dict[tuple[int, int], np.ndarray] = field(repr=False)
     _scene: GaussianSet = field(repr=False)
+    _camera: Camera = field(repr=False)
 
     @property
     def sorted_contributor_lists(self) -> dict[tuple[int, int], np.ndarray]:
@@ -502,6 +503,7 @@ def rasterize(
         _prep=prep,
         _tiles=tiles,
         _scene=gaussians,
+        _camera=camera,
     )
 
 
@@ -521,11 +523,14 @@ def rasterize_backward(
     Returns the parameter gradients and the per-Gaussian L2 norm of the
     gradient with respect to the projected 2D mean. Gaussians that did not
     contribute in the forward pass receive exactly zero gradient.
-    ``render_output`` must come from ``rasterize`` on this very ``gaussians``
-    object: the backward reuses the forward's projection and tile lists.
+    ``render_output`` must come from ``rasterize`` on these very ``gaussians``
+    and ``camera`` objects: the backward reuses the forward's projection and
+    tile lists.
     """
     if render_output._scene is not gaussians:
         raise InvalidStateError("render output was not rendered from this scene object")
+    if render_output._camera is not camera:
+        raise InvalidStateError("render output was not rendered with this camera object")
     d_image = np.asarray(d_image, np.float64)
     if d_image.shape != (camera.height, camera.width, 3):
         raise InvalidStateError(
@@ -536,11 +541,11 @@ def rasterize_backward(
     config = render_output.config
     bg = render_output.background
     prep = render_output._prep
-    v = prep.vis_idx.size
-    d_color = np.zeros((v, 3))
-    d_opacity = np.zeros(v)
-    d_mean2d = np.zeros((v, 2))
-    d_conic = np.zeros((v, 2, 2))
+    # Per visible row: d_color (3), then the (3, 3) moments of dL/d(alpha)
+    # times the Gaussian falloff, summed over the row's pixels in every tile
+    # (see _tile_moments). Opacity and conic factors are per-row constants,
+    # so they are applied once after the tile loop.
+    acc = np.zeros((prep.vis_idx.size, 12))
 
     grid = _tile_grid(camera.height, camera.width, config.tile_size)
     for key, members in render_output._tiles.items():
@@ -551,50 +556,63 @@ def rasterize_backward(
 
         g_pix = d_image[ysl, xsl].reshape(-1, 3)
         g_pix = np.where(pix <= 1.0, g_pix, 0.0)  # adjoint of the [0,1] clip
+        k = members.size
 
-        col = prep.color[members]
-        d_color[members] += weights @ g_pix
-
-        # dL/d alpha_i = T_i (c_i . g) - (suffix + bg-term) / (1 - alpha_i)
-        e = col @ g_pix.T                              # (K, P)
-        we = weights * e
-        suffix = np.cumsum(we[::-1], 0)[::-1]
-        suffix -= we
-        suffix += (g_pix @ bg) * t_final               # background term
+        # dL/d alpha_i = T_i (c_i . g) - (suffix_i + bg-term) / (1 - alpha_i),
+        # suffix_i being the sum of weights * (c . g) behind contributor i.
+        # Rows 0..K-1 of ``behind`` hold weights * (c . g) and row K the
+        # background term; one cumsum from the back leaves suffix_i plus the
+        # background term in row i + 1.
+        e = prep.color[members] @ g_pix.T              # (K, P)
+        behind = np.empty((k + 1, e.shape[1]))
+        np.multiply(weights, e, out=behind[:k])
+        np.multiply(g_pix @ bg, t_final, out=behind[k])
+        np.cumsum(behind[::-1], axis=0, out=behind[::-1])
+        suffix = behind[1:]
         suffix /= 1.0 - alpha
-        d_alpha = t_before * e
+        d_alpha = np.multiply(t_before, e, out=e)
         d_alpha -= suffix
         # zero where skipped, terminated, or where the clamp bound alpha
         d_alpha *= (alpha > 0) & active & (alpha < config.alpha_clamp)
-        d_opacity[members] += np.einsum("kp,kp->k", gauss, d_alpha)
+        d_alpha *= gauss  # dL/d(opacity); dL/d(power) is this times opacity
 
-        d_power = gauss * d_alpha
-        d_power *= prep.opacity[members][:, None]
-        k = members.size
-        ht, wt = dys.shape[1], dxs.shape[1]
-        dp3 = d_power.reshape(k, ht, wt)
-        sum_dx = np.einsum("khw,kw->k", dp3, dxs)
-        sum_dy = np.einsum("khw,kh->k", dp3, dys)
-        sum_dxdx = np.einsum("khw,kw->k", dp3, dxs * dxs)
-        sum_dydy = np.einsum("khw,kh->k", dp3, dys * dys)
-        sum_dxdy = np.einsum("khw,kh,kw->k", dp3, dys, dxs)
+        mom = _tile_moments(d_alpha.reshape(k, dys.shape[1], dxs.shape[1]), dxs, dys)
+        acc[members] += np.concatenate((weights @ g_pix, mom.reshape(k, 9)), axis=1)
 
-        a = prep.conic[members, 0, 0]
-        b = prep.conic[members, 0, 1]
-        c = prep.conic[members, 1, 1]
-        d_mean2d[members, 0] += a * sum_dx + b * sum_dy
-        d_mean2d[members, 1] += b * sum_dx + c * sum_dy
-        d_conic[members, 0, 0] += -0.5 * sum_dxdx
-        d_conic[members, 0, 1] += -0.5 * sum_dxdy
-        d_conic[members, 1, 0] += -0.5 * sum_dxdy
-        d_conic[members, 1, 1] += -0.5 * sum_dydy
-
+    # With power = -(a dx^2 + 2 b dx dy + c dy^2) / 2 and dx = x - mean_x:
+    # dL/dmean = opacity * conic @ (sum dx, sum dy) and dL/dconic =
+    # -opacity / 2 * [[sum dx^2, sum dx dy], [sum dx dy, sum dy^2]].
+    mom = acc[:, 3:].reshape(-1, 3, 3)
+    o = prep.opacity[:, None]
+    d_mean2d = o * np.einsum("vij,vj->vi", prep.conic, mom[:, [0, 1], [1, 0]])
+    d_conic = np.empty_like(prep.conic)
+    d_conic[:, 0, 0] = mom[:, 0, 2]
+    d_conic[:, 0, 1] = d_conic[:, 1, 0] = mom[:, 1, 1]
+    d_conic[:, 1, 1] = mom[:, 2, 0]
+    d_conic *= -0.5 * o[:, None]
     grads = _chain_to_parameters(
-        gaussians, camera, prep, d_color, d_opacity, d_mean2d, d_conic
+        gaussians, camera, prep, acc[:, :3], mom[:, 0, 0], d_mean2d, d_conic
     )
     norms = np.zeros(gaussians.count)
     norms[prep.vis_idx] = np.linalg.norm(d_mean2d, axis=1)
     return grads, norms
+
+
+def _tile_moments(grad: np.ndarray, dxs: np.ndarray, dys: np.ndarray) -> np.ndarray:
+    """(K, 3, 3) moments ``m[k, i, j] = sum over pixels of grad * dy^i * dx^j``
+    of a (K, Ht, Wt) tile array, given the (K, Wt) and (K, Ht) pixel offsets.
+
+    Two batched matmuls with the powers 1, d, d^2 of each offset.
+    """
+    k, ht, wt = grad.shape
+    py = np.empty((k, 3, ht))
+    px = np.empty((k, wt, 3))
+    py[:, 0] = px[:, :, 0] = 1.0
+    py[:, 1] = dys
+    px[:, :, 1] = dxs
+    np.multiply(dys, dys, out=py[:, 2])
+    np.multiply(dxs, dxs, out=px[:, :, 2])
+    return py @ grad @ px
 
 
 def _chain_to_parameters(
@@ -682,11 +700,17 @@ def _sh_direction_gradient(
 ) -> np.ndarray:
     """dL/d(unit direction) for the degree-3 SH color evaluation."""
     norm = np.linalg.norm(dir_raw, axis=1, keepdims=True)
-    d = dir_raw / np.where(norm > 0, norm, 1.0)
+    db = _sh_basis_jacobian(dir_raw / np.where(norm > 0, norm, 1.0))
+    # dL/ddir_k = sum_{l,c} d_color_c * coeffs_{l,c} * db_{l,k}, contracted
+    # over c first: one three-operand einsum is about 14x slower.
+    return np.einsum("vlk,vl->vk", db, np.einsum("vlc,vc->vl", coeffs, d_color))
+
+
+def _sh_basis_jacobian(d: np.ndarray) -> np.ndarray:
+    """d basis_l / d (x, y, z) of ``sh_basis`` at directions ``d``; (V, 16, 3)."""
     x, y, z = d[:, 0], d[:, 1], d[:, 2]
     zeros = np.zeros_like(x)
 
-    # d basis_l / d (x, y, z), shape (V, 16, 3)
     db = np.zeros(d.shape[:1] + (SH_COEFFS, 3))
     db[:, 1] = np.stack([zeros, -SH_C1 * np.ones_like(x), zeros], 1)
     db[:, 2] = np.stack([zeros, zeros, SH_C1 * np.ones_like(x)], 1)
@@ -709,9 +733,7 @@ def _sh_direction_gradient(
     )
     db[:, 14] = SH_C3[5] * np.stack([2 * x * z, -2 * y * z, x * x - y * y], 1)
     db[:, 15] = SH_C3[6] * np.stack([3 * x * x - 3 * y * y, -6 * x * y, zeros], 1)
-
-    # dL/ddir_k = sum_{l,c} d_color_c * coeffs_{l,c} * db_{l,k}
-    return np.einsum("vlc,vc,vlk->vk", coeffs, d_color, db)
+    return db
 
 
 def _rotation_quaternion_vjp(q_hat: np.ndarray, d_rot: np.ndarray) -> np.ndarray:

@@ -211,9 +211,14 @@ def read_ppm(path) -> np.ndarray:
         raise DatasetError(f"{path}: non-numeric PPM header fields") from None
     if maxval != 255:
         raise DatasetError(f"{path}: expected maxval 255, got {maxval}")
-    pixels = np.frombuffer(raw[pos : pos + w * h * 3], dtype=np.uint8)
-    if pixels.size != w * h * 3:
+    if w <= 0 or h <= 0:
+        raise DatasetError(f"{path}: PPM dimensions {w}x{h} must be positive")
+    size = w * h * 3
+    if len(raw) - pos < size:
         raise DatasetError(f"{path}: truncated pixel data")
+    if len(raw) - pos > size:
+        raise DatasetError(f"{path}: {len(raw) - pos - size} trailing bytes after the pixel data")
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=size, offset=pos)
     return pixels.reshape(h, w, 3).astype(np.float64) / 255.0
 
 
@@ -297,7 +302,8 @@ def load_dataset(
     if split is not None:
         entries = [e for e in entries if e.split == split]
     if not entries:
-        raise DatasetError(f"dataset empty: {manifest_path}")
+        where = f" (no {split} views)" if split is not None else ""
+        raise DatasetError(f"dataset empty: {manifest_path}{where}")
     pairs = []
     for e in entries:
         img_path = manifest_path.parent / e.image_path

@@ -213,6 +213,48 @@ class TestTrim:
         assert rc == 1
         assert "opacity" in capsys.readouterr().err
 
+    def test_out_scene_same_as_scene_rejected(self, workspace, tmp_path, capsys):
+        scene, manifest = data_paths(workspace)
+        copy = tmp_path / "scene.ply"
+        copy.write_bytes(scene.read_bytes())
+        before = sha(copy)
+        (tmp_path / "sub").mkdir()
+        rc = main(
+            ["trim", "--scene", str(copy), "--manifest", str(manifest),
+             "--out-scene", str(tmp_path / "sub" / ".." / "scene.ply"),
+             "--gamma-target", "0.5", "--criterion", "opacity", "--steps", "1",
+             "--interval", "1", "--finetune-iters", "0"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overwrite" in err
+        assert sha(copy) == before
+
+    def test_missing_test_split_fails_before_training(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        scene, manifest = data_paths(workspace)
+        train_only = tmp_path / "train_only.txt"
+        train_only.write_text("".join(
+            f"{manifest.parent / line}\n"
+            for line in manifest.read_text().splitlines()
+            if line.endswith(" train")
+        ))
+        out = tmp_path / "o.ply"
+
+        def no_training(*args, **kwargs):
+            pytest.fail("trim started training before resolving the test split")
+
+        monkeypatch.setattr("splatrim.cli.run_iterative_prune", no_training)
+        rc = main(
+            ["trim", "--scene", str(scene), "--manifest", str(train_only),
+             "--out-scene", str(out), "--steps", "1", "--interval", "1",
+             "--finetune-iters", "0"]
+        )
+        assert rc == 1
+        assert "no test views" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRender:
     def test_renders_are_deterministic(self, workspace, tmp_path):

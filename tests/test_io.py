@@ -195,6 +195,20 @@ class TestPpm:
         with pytest.raises(DatasetError, match="non-numeric"):
             read_ppm(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        write_ppm(np.zeros((4, 6, 3)), path)
+        path.write_bytes(path.read_bytes() + b"\x00\x00")
+        with pytest.raises(DatasetError, match="img.ppm: 2 trailing bytes"):
+            read_ppm(path)
+
+    @pytest.mark.parametrize("dims", [b"0 4", b"6 0", b"0 0"])
+    def test_zero_dimension_rejected(self, tmp_path, dims):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n" + dims + b"\n255\n")
+        with pytest.raises(DatasetError, match="img.ppm: PPM dimensions .* positive"):
+            read_ppm(path)
+
 
 class TestManifest:
     def entry(self, rel, split="train"):

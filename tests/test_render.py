@@ -6,7 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from splatrim.core import Camera, GaussianSet, SH_C0, normalize_quaternions, opacity_logit
+from splatrim.core import (
+    Camera, GaussianSet, SH_C0, normalize_quaternions, opacity_logit, sh_basis,
+)
 from splatrim.errors import InvalidParameterError, InvalidStateError
 from splatrim.render import (
     GradientStats,
@@ -16,6 +18,7 @@ from splatrim.render import (
     rasterize,
     rasterize_backward,
 )
+from splatrim.render import _sh_basis_jacobian, _sh_direction_gradient, _tile_moments
 
 BLACK = np.zeros(3)
 
@@ -377,12 +380,70 @@ class TestBackwardPlumbing:
         with pytest.raises(InvalidStateError):
             rasterize_backward(moved, cam, out, np.zeros((16, 16, 3)))
 
+    def test_different_camera_rejected(self):
+        # an otherwise equal camera at another focal length would chain the
+        # forward's tile lists through the wrong intrinsics
+        g = random_scene(5, 6)
+        out = rasterize(g, camera_16(fx=30.0, fy=30.0), BLACK)
+        for cam in (camera_16(fx=45.0, fy=45.0), camera_16(fx=30.0, fy=30.0)):
+            with pytest.raises(InvalidStateError, match="camera"):
+                rasterize_backward(g, cam, out, np.zeros((16, 16, 3)))
+
     def test_mismatched_gradient_shape_rejected(self):
         g = random_scene(4, 6)
         cam = camera_16()
         out = rasterize(g, cam, BLACK)
         with pytest.raises(InvalidStateError):
             rasterize_backward(g, cam, out, np.zeros((8, 8, 3)))
+
+
+class TestBackwardContractions:
+    """The backward's contractions against their literal einsum definitions."""
+
+    def test_sh_basis_jacobian_matches_five_point_stencil(self):
+        # the basis is a cubic polynomial in (x, y, z), for which the
+        # five-point central difference is exact up to rounding
+        d = np.random.default_rng(10).normal(size=(30, 3))
+        h = 0.5
+        want = np.zeros((30, 16, 3))
+        for axis in range(3):
+            step = np.zeros(3)
+            step[axis] = h
+            want[:, :, axis] = (
+                sh_basis(d - 2 * step) - 8 * sh_basis(d - step)
+                + 8 * sh_basis(d + step) - sh_basis(d + 2 * step)
+            ) / (12 * h)
+        np.testing.assert_allclose(_sh_basis_jacobian(d), want, rtol=0, atol=1e-12)
+
+    def test_sh_direction_gradient_matches_three_operand_einsum(self):
+        rng = np.random.default_rng(11)
+        coeffs = rng.normal(size=(40, 16, 3))
+        dirs = rng.normal(size=(40, 3))
+        d_color = rng.normal(size=(40, 3))
+        unit = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        want = np.einsum("vlc,vc,vlk->vk", coeffs, d_color, _sh_basis_jacobian(unit))
+        got = _sh_direction_gradient(coeffs, dirs, d_color)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_tile_moments_match_direct_einsums(self):
+        rng = np.random.default_rng(12)
+        k, ht, wt = 37, 5, 8
+        grad = rng.normal(size=(k, ht, wt))
+        dxs = rng.normal(size=(k, wt)) * 4.0
+        dys = rng.normal(size=(k, ht)) * 4.0
+        mom = _tile_moments(grad, dxs, dys)
+        assert mom.shape == (k, 3, 3)
+        # mom[:, i, j] sums grad * dy^i * dx^j
+        want = {
+            (0, 0): np.einsum("khw->k", grad),
+            (0, 1): np.einsum("khw,kw->k", grad, dxs),
+            (1, 0): np.einsum("khw,kh->k", grad, dys),
+            (0, 2): np.einsum("khw,kw->k", grad, dxs * dxs),
+            (1, 1): np.einsum("khw,kh,kw->k", grad, dys, dxs),
+            (2, 0): np.einsum("khw,kh->k", grad, dys * dys),
+        }
+        for (i, j), ref in want.items():
+            np.testing.assert_allclose(mom[:, i, j], ref, rtol=1e-12, atol=0)
 
 
 class TestGradientStats:
