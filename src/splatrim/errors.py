@@ -18,11 +18,14 @@ class EmptySceneError(SplatError, RuntimeError):
 
 
 class DivergedRunError(SplatError, RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, render or parameter update.
+
+    ``iteration`` is the 1-based optimizer step at which it happened.
+    """
 
     def __init__(self, iteration: int, message: str = ""):
         self.iteration = iteration
-        super().__init__(message or f"non-finite loss at iteration {iteration}")
+        super().__init__(message or f"run diverged at iteration {iteration}")
 
 
 class DatasetError(SplatError, ValueError):

@@ -4,9 +4,12 @@ Forward: project each 3D Gaussian to an image-plane ellipse (mean, 2x2
 covariance via the perspective Jacobian), bin the splats into square tiles of
 ``RenderConfig.tile_size`` pixels, and alpha-composite them front to back per
 pixel. The forward keeps its projection of the visible splats and its
-per-tile contributor lists in the ``RenderOutput``. Backward: re-run the same
-tile routine on that state and chain the pixel gradients back to every
-stored parameter.
+per-tile contributor lists in the ``RenderOutput``; rendered with
+``for_backward`` it also keeps each tile's Gaussian falloff and
+transmittance. Backward: rebuild each tile's alphas and weights from that
+kept state (or, for an output rendered without ``for_backward``, re-run the
+same tile routine) and chain the pixel gradients back to every stored
+parameter.
 
 All screen-space math runs in float64 regardless of the float32 storage so
 analytic gradients match central finite differences tightly.
@@ -83,6 +86,9 @@ class RenderOutput:
     _tiles: dict[tuple[int, int], np.ndarray] = field(repr=False)
     _scene: GaussianSet = field(repr=False)
     _camera: Camera = field(repr=False)
+    # Per occupied tile, its read-only compositing state; None unless
+    # rendered ``for_backward``.
+    _kept: dict[tuple[int, int], _TileState] | None = field(default=None, repr=False)
 
     @property
     def sorted_contributor_lists(self) -> dict[tuple[int, int], np.ndarray]:
@@ -398,6 +404,39 @@ def _bin_tiles(
     return tiles
 
 
+class _TileState(NamedTuple):
+    """What the backward reads of one tile's forward compositing."""
+
+    gauss: np.ndarray  # (K, P) Gaussian falloff exp(power)
+    dxs: np.ndarray    # (K, Wt) pixel x minus each mean
+    dys: np.ndarray    # (K, Ht) pixel y minus each mean
+    trans: np.ndarray  # (K + 1, P) row i: transmittance in front of contributor i
+    pix: np.ndarray    # (P, 3) color before the [0, 1] clip
+
+
+def _tile_alpha(gauss: np.ndarray, opacity: np.ndarray, config: RenderConfig) -> np.ndarray:
+    """(K, P) alphas: falloff times opacity, clamped, small ones skipped."""
+    alpha = gauss * opacity[:, None]
+    np.minimum(alpha, config.alpha_clamp, out=alpha)
+    if config.alpha_skip > 0.0:
+        alpha[alpha < config.alpha_skip] = 0.0
+    return alpha
+
+
+def _tile_weights(
+    alpha: np.ndarray, trans: np.ndarray, config: RenderConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(K, P) compositing weights and acceptance masks.
+
+    A contributor is dropped (along with everything behind it) as soon as
+    accepting it would push the pixel's transmittance below the floor.
+    """
+    active = trans[1:] >= config.transmittance_floor
+    weights = alpha * trans[:-1]
+    weights *= active
+    return weights, active
+
+
 def _composite_tile(
     prep: _Prepared,
     members: np.ndarray,
@@ -405,21 +444,18 @@ def _composite_tile(
     ys: np.ndarray,
     config: RenderConfig,
     bg: np.ndarray,
-):
-    """Alphas and front-to-back compositing of one tile's K contributors.
+) -> tuple[_TileState, np.ndarray]:
+    """Falloffs, alphas, transmittances, weights and front-to-back
+    compositing of one tile's K contributors.
 
-    Returns ``(alpha, gauss, dxs, dys, weights, t_before, active, t_final,
-    pix)``: (K, P) clamped alphas and Gaussian falloffs, the (K, Wt) and
-    (K, Ht) pixel offsets from each mean, (K, P) compositing weights,
-    transmittances in front of each contributor and acceptance masks, the
-    (P,) terminal transmittance and the (P, 3) color before the [0, 1] clip.
-    The forward and the backward both call this.
+    Returns the tile's state for the backward and its (P,) terminal
+    transmittance. The forward calls this for every occupied tile; the
+    backward calls it again only for an output rendered without
+    ``for_backward``.
 
     The quadratic form is assembled from per-axis (K, tile) pieces, the only
     full K x P passes being the final broadcast sum and the exp; the K x P
-    steps run in place where they can, to keep per-tile temporaries few. A
-    contributor is dropped (along with everything behind it) as soon as
-    accepting it would push the pixel's transmittance below the floor.
+    steps run in place where they can, to keep per-tile temporaries few.
     """
     mx = prep.mean2d[members, 0]
     my = prep.mean2d[members, 1]
@@ -436,10 +472,7 @@ def _composite_tile(
     power += qx[:, None, :]
     k = members.size
     gauss = np.exp(power, out=power).reshape(k, -1)
-    alpha = gauss * prep.opacity[members][:, None]
-    np.minimum(alpha, config.alpha_clamp, out=alpha)
-    if config.alpha_skip > 0.0:
-        alpha[alpha < config.alpha_skip] = 0.0
+    alpha = _tile_alpha(gauss, prep.opacity[members], config)
 
     # Row i is the transmittance in front of contributor i; row i + 1 is
     # the transmittance after accepting it.
@@ -448,18 +481,12 @@ def _composite_tile(
     inc = trans[1:]
     np.subtract(1.0, alpha, out=inc)
     np.cumprod(inc, axis=0, out=inc)
-    t_before = trans[:-1]
-    active = inc >= config.transmittance_floor
-    weights = alpha * t_before
-    weights *= active
-    n_active = active.sum(axis=0)
-    t_final = np.where(
-        n_active > 0,
-        inc[np.maximum(n_active - 1, 0), np.arange(alpha.shape[1])],
-        1.0,
-    )
+    weights, active = _tile_weights(alpha, trans, config)
+    # ``active`` is a prefix of each column, so row n_active of ``trans`` is
+    # the transmittance behind the last accepted contributor (1 if none).
+    t_final = trans[active.sum(axis=0), np.arange(alpha.shape[1])]
     pix = weights.T @ prep.color[members] + t_final[:, None] * bg
-    return alpha, gauss, dxs, dys, weights, t_before, active, t_final, pix
+    return _TileState(gauss, dxs, dys, trans, pix), t_final
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +499,15 @@ def rasterize(
     camera: Camera,
     background,
     config: RenderConfig | None = None,
+    for_backward: bool = False,
 ) -> RenderOutput:
-    """Render the scene front to back over ``background``."""
+    """Render the scene front to back over ``background``.
+
+    With ``for_backward`` the output keeps each tile's Gaussian falloff and
+    transmittance (two K x P arrays per tile), which ``rasterize_backward``
+    reads instead of compositing the tile again. Leave it off for renders
+    that no backward follows.
+    """
     config = config or RenderConfig()
     bg = np.asarray(background, np.float64)
     if bg.shape != (3,):
@@ -487,12 +521,19 @@ def rasterize(
     tiles = _bin_tiles(prep, camera, config)
     grid = _tile_grid(h, w, config.tile_size)
 
+    kept = {} if for_backward else None
     for key, members in tiles.items():
         ysl, xsl, xs, ys = grid[key]
-        t_final, pix = _composite_tile(prep, members, xs, ys, config, bg)[-2:]
+        state, t_final = _composite_tile(prep, members, xs, ys, config, bg)
         shape = (ysl.stop - ysl.start, xsl.stop - xsl.start)
-        image[ysl, xsl] = pix.reshape(shape + (3,))
+        image[ysl, xsl] = state.pix.reshape(shape + (3,))
         transmittance[ysl, xsl] = t_final.reshape(shape)
+        if kept is not None:
+            for arr in state:
+                arr.flags.writeable = False
+            kept[key] = state
+        # free this tile's K x P arrays before the next tile allocates its own
+        del state
 
     np.clip(image, 0.0, 1.0, out=image)
     return RenderOutput(
@@ -504,6 +545,7 @@ def rasterize(
         _tiles=tiles,
         _scene=gaussians,
         _camera=camera,
+        _kept=kept,
     )
 
 
@@ -547,12 +589,17 @@ def rasterize_backward(
     # so they are applied once after the tile loop.
     acc = np.zeros((prep.vis_idx.size, 12))
 
+    kept = render_output._kept
     grid = _tile_grid(camera.height, camera.width, config.tile_size)
     for key, members in render_output._tiles.items():
         ysl, xsl, xs, ys = grid[key]
-        alpha, gauss, dxs, dys, weights, t_before, active, t_final, pix = (
-            _composite_tile(prep, members, xs, ys, config, bg)
+        gauss, dxs, dys, trans, pix = (
+            kept[key] if kept is not None
+            else _composite_tile(prep, members, xs, ys, config, bg)[0]
         )
+        alpha = _tile_alpha(gauss, prep.opacity[members], config)
+        weights, active = _tile_weights(alpha, trans, config)
+        t_final = render_output.terminal_transmittance[ysl, xsl].reshape(-1)
 
         g_pix = d_image[ysl, xsl].reshape(-1, 3)
         g_pix = np.where(pix <= 1.0, g_pix, 0.0)  # adjoint of the [0,1] clip
@@ -570,7 +617,7 @@ def rasterize_backward(
         np.cumsum(behind[::-1], axis=0, out=behind[::-1])
         suffix = behind[1:]
         suffix /= 1.0 - alpha
-        d_alpha = np.multiply(t_before, e, out=e)
+        d_alpha = np.multiply(trans[:-1], e, out=e)
         d_alpha -= suffix
         # zero where skipped, terminated, or where the clamp bound alpha
         d_alpha *= (alpha > 0) & active & (alpha < config.alpha_clamp)
@@ -637,7 +684,7 @@ def _chain_to_parameters(
     d_sigma3 = np.swapaxes(p_mat, 1, 2) @ d_cov2d @ p_mat
     d_p = (d_cov2d + np.swapaxes(d_cov2d, 1, 2)) @ p_mat @ prep.sigma3
     rot_w2c = camera.world_to_camera[:3, :3]
-    d_jac = d_p @ rot_w2c.T
+    d_jac = (d_p.reshape(-1, 3) @ rot_w2c.T).reshape(d_p.shape)
 
     # Perspective chain: both the Jacobian entries and the projected mean
     # depend on the camera-space position t = (x, y, z).
@@ -709,30 +756,42 @@ def _sh_direction_gradient(
 def _sh_basis_jacobian(d: np.ndarray) -> np.ndarray:
     """d basis_l / d (x, y, z) of ``sh_basis`` at directions ``d``; (V, 16, 3)."""
     x, y, z = d[:, 0], d[:, 1], d[:, 2]
-    zeros = np.zeros_like(x)
 
+    # Entries written one by one into a zeroed array; the zero entries stay.
     db = np.zeros(d.shape[:1] + (SH_COEFFS, 3))
-    db[:, 1] = np.stack([zeros, -SH_C1 * np.ones_like(x), zeros], 1)
-    db[:, 2] = np.stack([zeros, zeros, SH_C1 * np.ones_like(x)], 1)
-    db[:, 3] = np.stack([-SH_C1 * np.ones_like(x), zeros, zeros], 1)
-    db[:, 4] = SH_C2[0] * np.stack([y, x, zeros], 1)
-    db[:, 5] = SH_C2[1] * np.stack([zeros, z, y], 1)
-    db[:, 6] = SH_C2[2] * np.stack([-2 * x, -2 * y, 4 * z], 1)
-    db[:, 7] = SH_C2[3] * np.stack([z, zeros, x], 1)
-    db[:, 8] = SH_C2[4] * np.stack([2 * x, -2 * y, zeros], 1)
-    db[:, 9] = SH_C3[0] * np.stack([6 * x * y, 3 * x * x - 3 * y * y, zeros], 1)
-    db[:, 10] = SH_C3[1] * np.stack([y * z, x * z, x * y], 1)
-    db[:, 11] = SH_C3[2] * np.stack(
-        [-2 * x * y, 4 * z * z - x * x - 3 * y * y, 8 * y * z], 1
-    )
-    db[:, 12] = SH_C3[3] * np.stack(
-        [-6 * x * z, -6 * y * z, 6 * z * z - 3 * x * x - 3 * y * y], 1
-    )
-    db[:, 13] = SH_C3[4] * np.stack(
-        [4 * z * z - 3 * x * x - y * y, -2 * x * y, 8 * x * z], 1
-    )
-    db[:, 14] = SH_C3[5] * np.stack([2 * x * z, -2 * y * z, x * x - y * y], 1)
-    db[:, 15] = SH_C3[6] * np.stack([3 * x * x - 3 * y * y, -6 * x * y, zeros], 1)
+    db[:, 1, 1] = -SH_C1
+    db[:, 2, 2] = SH_C1
+    db[:, 3, 0] = -SH_C1
+    db[:, 4, 0] = SH_C2[0] * y
+    db[:, 4, 1] = SH_C2[0] * x
+    db[:, 5, 1] = SH_C2[1] * z
+    db[:, 5, 2] = SH_C2[1] * y
+    db[:, 6, 0] = SH_C2[2] * (-2 * x)
+    db[:, 6, 1] = SH_C2[2] * (-2 * y)
+    db[:, 6, 2] = SH_C2[2] * (4 * z)
+    db[:, 7, 0] = SH_C2[3] * z
+    db[:, 7, 2] = SH_C2[3] * x
+    db[:, 8, 0] = SH_C2[4] * (2 * x)
+    db[:, 8, 1] = SH_C2[4] * (-2 * y)
+    db[:, 9, 0] = SH_C3[0] * (6 * x * y)
+    db[:, 9, 1] = SH_C3[0] * (3 * x * x - 3 * y * y)
+    db[:, 10, 0] = SH_C3[1] * (y * z)
+    db[:, 10, 1] = SH_C3[1] * (x * z)
+    db[:, 10, 2] = SH_C3[1] * (x * y)
+    db[:, 11, 0] = SH_C3[2] * (-2 * x * y)
+    db[:, 11, 1] = SH_C3[2] * (4 * z * z - x * x - 3 * y * y)
+    db[:, 11, 2] = SH_C3[2] * (8 * y * z)
+    db[:, 12, 0] = SH_C3[3] * (-6 * x * z)
+    db[:, 12, 1] = SH_C3[3] * (-6 * y * z)
+    db[:, 12, 2] = SH_C3[3] * (6 * z * z - 3 * x * x - 3 * y * y)
+    db[:, 13, 0] = SH_C3[4] * (4 * z * z - 3 * x * x - y * y)
+    db[:, 13, 1] = SH_C3[4] * (-2 * x * y)
+    db[:, 13, 2] = SH_C3[4] * (8 * x * z)
+    db[:, 14, 0] = SH_C3[5] * (2 * x * z)
+    db[:, 14, 1] = SH_C3[5] * (-2 * y * z)
+    db[:, 14, 2] = SH_C3[5] * (x * x - y * y)
+    db[:, 15, 0] = SH_C3[6] * (3 * x * x - 3 * y * y)
+    db[:, 15, 1] = SH_C3[6] * (-6 * x * y)
     return db
 
 

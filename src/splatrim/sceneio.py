@@ -148,6 +148,16 @@ def read_ply(path) -> GaussianSet:
         )
 
     data = np.frombuffer(body, dtype="<f4").reshape(count, FLOATS_PER_VERTEX)
+    # One pass over the body; the unused normals alone do not fail the load.
+    if not np.isfinite(data).all():
+        bad = ~np.isfinite(data)
+        bad[:, 3:6] = False
+        if bad.any():
+            vertex, column = np.unravel_index(np.argmax(bad), bad.shape)
+            raise PlyBodyError(
+                f"vertex {vertex}: property {PLY_PROPERTIES[column]!r} is not finite",
+                body_offset + (vertex * FLOATS_PER_VERTEX + column) * 4,
+            )
     sh = np.zeros((count, 16, 3), np.float32)
     sh[:, 0, :] = data[:, 6:9]
     sh[:, 1:, :] = data[:, 9:54].reshape(count, 3, 15).transpose(0, 2, 1)

@@ -101,6 +101,8 @@ class OptimizerState:
 
         Parameter arrays whose update is identically zero are passed through
         untouched, so a zero-learning-rate step leaves the scene bit-exact.
+        Raises ``DivergedRunError`` at this step if any updated parameter is
+        not finite.
         """
         self.step_count += 1
         cfg = self.config
@@ -122,7 +124,13 @@ class OptimizerState:
             updated = getattr(scene, name).astype(np.float64) - delta
             if name == "rotations":
                 updated = normalize_quaternions(updated)
-            new_arrays[name] = updated.astype(np.float32)
+            updated = updated.astype(np.float32)
+            if not np.isfinite(updated).all():
+                raise DivergedRunError(
+                    self.step_count,
+                    f"non-finite {name} update at iteration {self.step_count}",
+                )
+            new_arrays[name] = updated
         if not new_arrays:
             return scene
         return scene.with_updates(**new_arrays)
@@ -196,13 +204,14 @@ def finetune_step(
     if scene.count == 0:
         raise InvalidParameterError("cannot fine-tune an empty scene")
     render_cfg = render_cfg or RenderConfig()
-    out = rasterize(scene, camera, background, render_cfg)
+    out = rasterize(scene, camera, background, render_cfg, for_backward=True)
     # divergence shows up as non-finite parameters poisoning the render
+    iteration = optimizer.step_count + 1
     if not np.all(np.isfinite(out.image)):
-        raise DivergedRunError(optimizer.step_count + 1)
+        raise DivergedRunError(iteration, f"non-finite render at iteration {iteration}")
     loss, d_image = training_loss(out.image, target, loss_cfg)
     if not np.isfinite(loss):
-        raise DivergedRunError(optimizer.step_count + 1)
+        raise DivergedRunError(iteration, f"non-finite loss at iteration {iteration}")
     grads, norms = rasterize_backward(scene, camera, out, d_image)
     new_scene = optimizer.step(scene, grads)
     return FinetuneResult(
@@ -322,9 +331,10 @@ def score_pass(
     stats = GradientStats.zeros(scene.count)
     render_cfg = render_cfg or RenderConfig()
     for camera, target in dataset:
-        out = rasterize(scene, camera, BACKGROUND, render_cfg)
+        out = rasterize(scene, camera, BACKGROUND, render_cfg, for_backward=True)
         _, d_image = training_loss(out.image, target, loss_cfg)
         _, norms = rasterize_backward(scene, camera, out, d_image)
+        del out  # free this view's kept tile state before the next view renders
         stats = accumulate_gradient_stats(stats, norms)
     return stats
 

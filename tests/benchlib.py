@@ -48,7 +48,7 @@ def contribution_rank(scene: GaussianSet, views) -> np.ndarray:
     total = np.zeros(scene.count)
     ones = np.ones((views[0][0].height, views[0][0].width, 3))
     for camera, _ in views:
-        out = rasterize(scene, camera, np.zeros(3), BENCH_RENDER)
+        out = rasterize(scene, camera, np.zeros(3), BENCH_RENDER, for_backward=True)
         grads, _ = rasterize_backward(scene, camera, out, ones)
         total += grads.sh_coeffs[:, 0, :].sum(axis=1)
     return total

@@ -26,15 +26,25 @@ def camera_16():
 
 
 def check_all_gradients(scene, camera, config, loss_cfg, background, target):
-    """Assert every storage-space parameter gradient against central FD."""
+    """Assert every storage-space parameter gradient against central FD.
+
+    The analytic gradients are computed from the kept tile state of a
+    ``for_backward`` render and from a plain render, whose backward
+    composites each tile again; the two must agree bitwise.
+    """
 
     def loss_of(s):
         out = rasterize(s, camera, background, config)
         return training_loss(out.image, target, loss_cfg)[0]
 
-    out = rasterize(scene, camera, background, config)
+    out = rasterize(scene, camera, background, config, for_backward=True)
     loss, d_image = training_loss(out.image, target, loss_cfg)
-    grads, _ = rasterize_backward(scene, camera, out, d_image)
+    grads, norms = rasterize_backward(scene, camera, out, d_image)
+    plain = rasterize(scene, camera, background, config)
+    grads_plain, norms_plain = rasterize_backward(scene, camera, plain, d_image)
+    for name in PARAM_NAMES:
+        np.testing.assert_array_equal(getattr(grads, name), getattr(grads_plain, name))
+    np.testing.assert_array_equal(norms, norms_plain)
 
     checked = 0
     for name in PARAM_NAMES:

@@ -11,6 +11,8 @@ from splatrim.metrics import model_size_bytes, psnr
 from splatrim.render import rasterize
 from splatrim.sceneio import (
     BYTES_PER_VERTEX,
+    FLOATS_PER_VERTEX,
+    PLY_PROPERTIES,
     ManifestEntry,
     PlyBodyError,
     PlyHeaderError,
@@ -153,6 +155,33 @@ class TestPlyErrors:
         path.write_bytes(path.read_bytes() + b"????")
         with pytest.raises(PlyBodyError):
             read_ply(path)
+
+    @pytest.mark.parametrize(
+        "prop, value", [("x", np.nan), ("opacity", np.inf), ("rot_3", -np.inf)]
+    )
+    def test_non_finite_value_rejected(self, tmp_path, prop, value):
+        g = random_scene(10, 4)
+        path = tmp_path / "bad.ply"
+        write_ply(g, path)
+        raw = bytearray(path.read_bytes())
+        column = PLY_PROPERTIES.index(prop)
+        offset = len(ply_header_bytes(4)) + (2 * FLOATS_PER_VERTEX + column) * 4
+        raw[offset : offset + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(PlyBodyError, match=f"vertex 2: property '{prop}'") as err:
+            read_ply(path)
+        assert err.value.offset == offset
+
+    def test_non_finite_normal_ignored(self, tmp_path):
+        # the normals are not scene parameters; read_ply never uses them
+        g = random_scene(11, 3)
+        path = tmp_path / "normals.ply"
+        write_ply(g, path)
+        raw = bytearray(path.read_bytes())
+        offset = len(ply_header_bytes(3)) + (FLOATS_PER_VERTEX + 4) * 4
+        raw[offset : offset + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        np.testing.assert_array_equal(read_ply(path).positions, g.positions)
 
     def test_errors_carry_offsets(self, tmp_path):
         path = tmp_path / "bad.ply"

@@ -334,7 +334,90 @@ class TestBruteForceOracle:
         np.testing.assert_allclose(out.image, brute_force_render(scene, cam, bg), atol=1e-12)
 
 
+GRAD_FIELDS = ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs")
+CONFIGS = {
+    "exact": RenderConfig.exact(),
+    "default": RenderConfig(),
+    "desk": RenderConfig(tile_size=8, alpha_skip=0.0),
+}
+
+
+def crowded_case(seed):
+    """200 splats on a 32x27 view (partial tiles along the bottom edge), with
+    opacities high enough that renders terminate early, clip above one and
+    bind the alpha clamp; returns (scene, camera, background, d_image)."""
+    rng = np.random.default_rng(seed)
+    n = 200
+    pos = rng.uniform(-0.6, 0.6, (n, 3))
+    pos[:, 2] = rng.uniform(1.2, 3.0, n)
+    scene = GaussianSet(
+        positions=pos.astype(np.float32),
+        rotations=normalize_quaternions(rng.normal(0, 1, (n, 4))).astype(np.float32),
+        log_scales=rng.normal(math.log(0.08), 0.4, (n, 3)).astype(np.float32),
+        opacity_logits=rng.normal(3.0, 2.0, n).astype(np.float32),
+        sh_coeffs=np.concatenate(
+            [rng.uniform(-1, 2.5, (n, 1, 3)), rng.normal(0, 0.2, (n, 15, 3))], axis=1
+        ).astype(np.float32),
+    )
+    angle = 0.04 * seed
+    w2c = np.eye(4)
+    w2c[:3, :3] = [
+        [np.cos(angle), 0, np.sin(angle)], [0, 1, 0], [-np.sin(angle), 0, np.cos(angle)]
+    ]
+    camera = Camera(w2c, fx=30.0, fy=33.0, cx=15.5, cy=13.0, width=32, height=27)
+    d_image = rng.normal(0, 1, (27, 32, 3))
+    return scene, camera, np.array([0.3, 0.2, 0.6]), d_image
+
+
 class TestBackwardPlumbing:
+    @pytest.mark.parametrize("cfg_name", sorted(CONFIGS))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kept_state_matches_recomputed(self, seed, cfg_name):
+        config = CONFIGS[cfg_name]
+        scene, cam, bg, d_image = crowded_case(seed)
+        kept = rasterize(scene, cam, bg, config, for_backward=True)
+        plain = rasterize(scene, cam, bg, config)
+        np.testing.assert_array_equal(kept.image, plain.image)
+        np.testing.assert_array_equal(kept.terminal_transmittance, plain.terminal_transmittance)
+
+        # the case exercises what the kept state must reproduce
+        opacity = kept._prep.opacity
+        states = [(kept._kept[key], rows) for key, rows in kept._tiles.items()]
+        assert any(s.gauss.shape[1] < config.tile_size**2 for s, _ in states)
+        assert any((s.gauss * opacity[rows, None] > config.alpha_clamp).any() for s, rows in states)
+        assert any((s.pix > 1.0).any() for s, _ in states)
+        if cfg_name != "exact":
+            floor = config.transmittance_floor
+            assert any((s.trans[1:] < floor).any() for s, _ in states)
+
+        grads_kept, norms_kept = rasterize_backward(scene, cam, kept, d_image)
+        grads_plain, norms_plain = rasterize_backward(scene, cam, plain, d_image)
+        for name in GRAD_FIELDS:
+            np.testing.assert_array_equal(getattr(grads_kept, name), getattr(grads_plain, name))
+        np.testing.assert_array_equal(norms_kept, norms_plain)
+        assert np.any(norms_kept > 0)
+
+    def test_kept_state_is_read_only(self):
+        scene, cam, bg, d_image = crowded_case(3)
+        out = rasterize(scene, cam, bg, CONFIGS["desk"], for_backward=True)
+        before = {key: [arr.copy() for arr in state] for key, state in out._kept.items()}
+        first = rasterize_backward(scene, cam, out, d_image)
+        second = rasterize_backward(scene, cam, out, d_image)
+        for name in GRAD_FIELDS:
+            np.testing.assert_array_equal(getattr(first[0], name), getattr(second[0], name))
+        np.testing.assert_array_equal(first[1], second[1])
+        for key, state in out._kept.items():
+            for arr, copy in zip(state, before[key]):
+                assert not arr.flags.writeable
+                np.testing.assert_array_equal(arr, copy)
+
+    def test_forward_only_render_keeps_no_tile_state(self):
+        scene, cam, bg, _ = crowded_case(4)
+        out = rasterize(scene, cam, bg, CONFIGS["default"])
+        assert out._kept is None
+        # the contributor lists are the only per-tile arrays, one row index each
+        assert all(rows.ndim == 1 for rows in out._tiles.values())
+
     def test_zero_upstream_gradient(self):
         g = random_scene(1, 8)
         cam = camera_16()

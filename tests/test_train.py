@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from splatrim.core import GaussianSet, normalize_quaternions
-from splatrim.errors import EmptySceneError, InvalidParameterError
+from splatrim.errors import DivergedRunError, EmptySceneError, InvalidParameterError
 from splatrim.metrics import LossConfig
 from splatrim.prune import PruneCriterion, PruneSchedule
-from splatrim.render import RenderConfig, rasterize
+from splatrim.render import ParamGradients, RenderConfig, rasterize
 from splatrim.sceneio import make_synthetic, load_dataset, perturb_scene
 from splatrim.train import (
     OptimizerConfig,
@@ -117,6 +117,20 @@ class TestFinetuneStep:
 
 
 class TestOptimizerState:
+    @pytest.mark.parametrize("group", ["positions", "opacity_logits"])
+    def test_non_finite_update_reported_at_its_step(self, small_dataset, group):
+        # a NaN gradient must stop the run at the step that applies it, not
+        # pass silently (positions) or surface a step later (opacity logits)
+        scene, views = small_dataset
+        camera, target = views[0]
+        opt = OptimizerState.create(scene, OptimizerConfig(), 10)
+        scene = finetune_step(scene, opt, camera, target, LossConfig(), FAST).scene
+        grads = ParamGradients.zeros(scene.count)
+        getattr(grads, group)[3] = np.nan
+        with pytest.raises(DivergedRunError, match=group) as err:
+            opt.step(scene, grads)
+        assert err.value.iteration == opt.step_count == 2
+
     def test_position_lr_decays_exponentially(self):
         scene = GaussianSet.empty()
         cfg = OptimizerConfig(position_lr_init=1.6e-4, position_lr_final=1.6e-6)
