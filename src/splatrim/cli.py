@@ -150,10 +150,15 @@ def cmd_trim(args) -> int:
         **_schedule_fields(args, args.preset),
     )
     inputs = {Path(p).resolve(): p for p in (args.scene, args.manifest)}
-    for out in (args.out_scene, args.report, args.history):
-        src = inputs.get(Path(out).resolve()) if out is not None else None
+    outputs = {"--out-scene": args.out_scene, "--report": args.report, "--history": args.history}
+    for flag, out in outputs.items():
+        if out is None:
+            continue
+        src = inputs.get(Path(out).resolve())
         if src is not None:
             raise SplatError(f"output {out} would overwrite the input {src}")
+        if not Path(out).parent.is_dir():
+            raise SplatError(f"{flag} {out}: directory {Path(out).parent} does not exist")
     # resolve every input before the long run
     scene = read_ply(args.scene)
     baseline_bytes = model_size_bytes(scene)

@@ -1,15 +1,15 @@
 """Differentiable CPU splat rasterizer.
 
 Forward: project each 3D Gaussian to an image-plane ellipse (mean, 2x2
-covariance via the perspective Jacobian), bin the splats into square tiles of
-``RenderConfig.tile_size`` pixels, and alpha-composite them front to back per
-pixel. The forward keeps its projection of the visible splats and its
-per-tile contributor lists in the ``RenderOutput``; rendered with
-``for_backward`` it also keeps each tile's Gaussian falloff and
-transmittance. Backward: rebuild each tile's alphas and weights from that
-kept state (or, for an output rendered without ``for_backward``, re-run the
-same tile routine) and chain the pixel gradients back to every stored
-parameter.
+covariance via the perspective Jacobian) and alpha-composite front to back
+over (splat, pixel) pairs, built and composited in chunks of whole pixel
+rows. A splat reaches a pixel if and only if the pixel centre lies inside its
+cutoff ellipse, where ``-d^T conic d / 2 >= -sigma_cutoff**2 / 2`` (every
+pixel under ``RenderConfig.exact()``); ``RenderConfig.tile_size`` affects
+nothing. Rendered with ``for_backward``, the output keeps each chunk's pair
+state. Backward: from that state (or the chunk built once more), reversed
+per-pixel scans give the suffix sums and per-splat sums over the pairs chain
+the pixel gradients back to every stored parameter.
 
 All screen-space math runs in float64 regardless of the float32 storage so
 analytic gradients match central finite differences tightly.
@@ -18,8 +18,9 @@ analytic gradients match central finite differences tightly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from itertools import chain
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +43,8 @@ from .errors import InvalidParameterError, InvalidStateError
 class RenderConfig:
     """Rasterizer constants. Oracle tests disable the cut-offs."""
 
-    tile_size: int = 16
-    sigma_cutoff: float = 3.0       # contributor bounding box, in sigmas
+    tile_size: int = 16             # validated; the pair rasterizer reads nothing of it
+    sigma_cutoff: float = 3.0       # contributor ellipse, in sigmas
     lowpass: float = 0.3            # px^2 added to the 2D covariance diagonal
     alpha_clamp: float = 0.99
     alpha_skip: float = 1.0 / 255.0
@@ -80,20 +81,12 @@ class RenderOutput:
     background: np.ndarray
     config: RenderConfig
     # The forward's state for the backward pass, valid only for the exact
-    # scene and camera objects it rendered: the visible-row projection and,
-    # per occupied tile keyed (ty, tx), depth-ordered contributor rows into it.
+    # scene and camera objects it rendered: the visible-row projection.
     _prep: _Prepared = field(repr=False)
-    _tiles: dict[tuple[int, int], np.ndarray] = field(repr=False)
     _scene: GaussianSet = field(repr=False)
     _camera: Camera = field(repr=False)
-    # Per occupied tile, its read-only compositing state; None unless
-    # rendered ``for_backward``.
-    _kept: dict[tuple[int, int], _TileState] | None = field(default=None, repr=False)
-
-    @property
-    def sorted_contributor_lists(self) -> dict[tuple[int, int], np.ndarray]:
-        """Depth-ordered original Gaussian indices per occupied tile, keyed (ty, tx)."""
-        return {key: self._prep.vis_idx[rows] for key, rows in self._tiles.items()}
+    # Per chunk, its read-only pair state; None unless rendered ``for_backward``.
+    _kept: list[_Pairs] | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -259,17 +252,19 @@ def _project_full(
 
 @dataclass
 class _Prepared:
-    """Everything the tile loops and the backward chain read, visible rows only."""
+    """Everything the pair chunks and the backward chain read, visible rows only."""
 
     vis_idx: np.ndarray      # original indices of visible Gaussians
+    front: np.ndarray        # visible rows front to back, by (depth, index)
     mean2d: np.ndarray       # (V, 2)
     cov2d: np.ndarray        # (V, 2, 2) dilated
     conic: np.ndarray        # (V, 2, 2) inverse of dilated cov2d
-    depth: np.ndarray        # (V,)
     color: np.ndarray        # (V, 3) clamped SH color
     color_raw: np.ndarray    # (V, 3) before the clamp (for gradient gating)
     opacity: np.ndarray      # (V,)
     view_dir: np.ndarray     # (V, 3) unnormalized (position - camera center)
+    dir_hat: np.ndarray      # (V, 3) unit view direction
+    sh: np.ndarray | None    # (V, 16, 3) float64 SH coefficients, kept ``for_backward``
     basis: np.ndarray        # (V, 16)
     # Projection intermediates the backward chain reads (see _Projection).
     t_cam: np.ndarray
@@ -282,7 +277,7 @@ class _Prepared:
 
 
 def _prepare(
-    gaussians: GaussianSet, camera: Camera, config: RenderConfig
+    gaussians: GaussianSet, camera: Camera, config: RenderConfig, keep_sh: bool = False
 ) -> _Prepared:
     full = _project_full(gaussians, camera, config)
     vis_idx = np.flatnonzero(full.visible)
@@ -297,23 +292,24 @@ def _prepare(
     dir_len = np.linalg.norm(dir_raw, axis=1)
     dir_hat = dir_raw / np.where(dir_len > 0, dir_len, 1.0)[:, None]
     basis = sh_basis(dir_hat)
-    color_raw = (
-        np.einsum("vk,vkc->vc", basis, gaussians.sh_coeffs[vis_idx].astype(np.float64))
-        + 0.5
-    )
+    sh = gaussians.sh_coeffs[vis_idx].astype(np.float64)
+    color_raw = np.einsum("vk,vkc->vc", basis, sh) + 0.5
+    sh = sh if keep_sh else None  # freed before the gathers below
     color = np.maximum(color_raw, 0.0)
     opacity = activated_opacity(gaussians.opacity_logits[vis_idx].astype(np.float64))
 
     return _Prepared(
         vis_idx=vis_idx,
+        front=np.argsort(full.depth[vis_idx], kind="stable"),
         mean2d=full.mean2d[vis_idx],
         cov2d=cov2d,
         conic=conic,
-        depth=full.depth[vis_idx],
         color=color,
         color_raw=color_raw,
         opacity=np.atleast_1d(opacity),
         view_dir=dir_raw,
+        dir_hat=dir_hat,
+        sh=sh,
         basis=basis,
         t_cam=full.t_cam[vis_idx],
         p_mat=full.p_mat[vis_idx],
@@ -326,167 +322,192 @@ def _prepare(
 
 
 # ---------------------------------------------------------------------------
-# Tile machinery
+# (splat, pixel) pairs
 # ---------------------------------------------------------------------------
 
+# A chunk of whole pixel rows closes once it holds this many (splat, pixel)
+# pairs, which bounds the per-pair arrays a chunk allocates.
+_CHUNK_PAIRS = 1 << 15
 
-@lru_cache(maxsize=16)
-def _tile_grid(height: int, width: int, tile: int):
-    """Per-tile pixel coordinate axes, cached per image geometry."""
-    tiles = {}
-    for ty in range((height + tile - 1) // tile):
-        for tx in range((width + tile - 1) // tile):
-            y0, y1 = ty * tile, min((ty + 1) * tile, height)
-            x0, x1 = tx * tile, min((tx + 1) * tile, width)
-            tiles[(ty, tx)] = (
-                slice(y0, y1),
-                slice(x0, x1),
-                np.arange(x0, x1, dtype=np.float64),
-                np.arange(y0, y1, dtype=np.float64),
+
+class _Pairs(NamedTuple):
+    """One chunk's (splat, pixel) pairs, grouped by pixel and front to back
+    within a pixel, and what compositing made of them. The per-pixel scans
+    run in a flat buffer that gives each occupied pixel one row of a 2-D
+    block: the cell in front of its first pair, one behind each, padding."""
+
+    rows: np.ndarray     # (M,) depth rank of each pair's splat (visible row front[rank])
+    dx: np.ndarray       # (M,) pixel x minus the splat's mean x
+    dy: np.ndarray       # (M,) pixel y minus the splat's mean y
+    gauss: np.ndarray    # (M,) Gaussian falloff exp(power)
+    alpha: np.ndarray    # (M,)
+    trans: np.ndarray    # (M,) transmittance in front of the pair
+    active: np.ndarray   # (M,) bool: accepted before termination
+    weights: np.ndarray  # (M,) alpha * trans where active, else 0
+    slot: np.ndarray     # (M,) scan-buffer cell in front of each pair
+    pixels: np.ndarray   # (Q,) flat index y * W + x of each occupied pixel
+    counts: np.ndarray   # (Q,) pairs per pixel
+    tail: np.ndarray     # (Q,) scan-buffer cell behind each pixel's last pair
+    color: np.ndarray    # (Q, 3) pixel colour before the [0, 1] clip
+    t_final: np.ndarray  # (Q,) terminal transmittance
+    blocks: tuple        # (first cell, pixels, row width) of each block
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums: where each run of ``counts`` starts."""
+    return np.cumsum(counts) - counts
+
+
+def _block_views(buf: np.ndarray, blocks: tuple) -> Iterator[np.ndarray]:
+    """The scan buffer as 2-D blocks, one row per pixel."""
+    return (buf[first:first + n * width].reshape(n, width) for first, n, width in blocks)
+
+
+def _pair_chunks(
+    prep: _Prepared, camera: Camera, config: RenderConfig, bg: np.ndarray
+) -> Iterator[_Pairs]:
+    """Composite the visible rows in chunks of whole pixel rows.
+
+    On each pixel row of its ellipse, a visible row reaches the x-span where
+    ``a dx^2 + 2 b dx dy + c dy^2 <= sigma_cutoff^2``, (a, b; b, c) being its
+    conic. These (row, pixel row) segments, ordered by pixel row and then
+    front to back, form chunks that close once they reach ``_CHUNK_PAIRS``
+    pairs. Rows are numbered by depth rank, so pixels read them in order."""
+    h, w = camera.height, camera.width
+    # Per-row coefficients in depth order, which each pair gathers in one
+    # ``take``: mean x and y, -a/2, b, -c/2, opacity and colour.
+    coef = np.concatenate((
+        np.stack((prep.mean2d[:, 0], prep.mean2d[:, 1], -0.5 * prep.conic[:, 0, 0],
+                  prep.conic[:, 0, 1], -0.5 * prep.conic[:, 1, 1], prep.opacity)),
+        prep.color.T,
+    )).take(prep.front, axis=1)
+    mx, my, qa, b, qc, opacity = coef[:6]
+    s2 = np.full(opacity.shape, config.sigma_cutoff**2)
+    if config.alpha_skip > 0.0:
+        # Beyond 2 ln(opacity / alpha_skip) the alpha is skipped anyway: shrink
+        # the ellipse to that (1e-6 wider, for rounding), dropping only zeros.
+        reach = 2.0 * np.log(np.maximum(opacity / config.alpha_skip, 1e-300)) + 1e-6
+        np.minimum(s2, reach, out=s2)
+    ry = np.sqrt(np.maximum(s2, 0.0) * np.maximum(prep.cov2d[:, 1, 1].take(prep.front), 0.0))
+    y0 = np.clip(np.ceil(my - ry), 0, h).astype(np.int64)
+    ny = np.maximum(np.clip(np.floor(my + ry), -1, h - 1).astype(np.int64) - y0 + 1, 0)
+    ny[s2 < 0.0] = 0
+    live = np.flatnonzero(ny)
+    ny = ny[live]
+    seg_row = np.repeat(live, ny)
+    seg_y = np.repeat(y0[live] - _starts(ny), ny) + np.arange(seg_row.size)
+    by_y = np.argsort(seg_y.astype(np.min_scalar_type(h)), kind="stable")
+    seg_row, seg_y = seg_row.take(by_y), seg_y.take(by_y)
+    row_seg = np.searchsorted(seg_y, np.arange(h + 1))  # first segment of each pixel row
+    del ry, y0, live, ny, by_y
+
+    sa, sb = -2.0 * qa.take(seg_row), b.take(seg_row)  # -2 (-a/2) is a, exactly
+    dy = seg_y - my.take(seg_row)
+    sc = -2.0 * qc.take(seg_row)
+    half = np.sqrt(np.maximum(sa * s2.take(seg_row) - (sa * sc - sb * sb) * dy * dy, 0.0))
+    half /= sa
+    mid = mx.take(seg_row) - sb * dy / sa
+    x0 = np.clip(np.ceil(mid - half), 0, w).astype(np.int64)
+    nx = np.maximum(np.clip(np.floor(mid + half), -1, w - 1).astype(np.int64) - x0 + 1, 0)
+    seg_pixel = seg_y * w + x0
+    del sa, sb, sc, dy, half, mid, x0, seg_y, s2
+    row_pair = np.concatenate(([0], np.cumsum(nx)))[row_seg]  # pairs before each pixel row
+    y = 0
+    while y < h:
+        stop = min(int(np.searchsorted(row_pair, row_pair[y] + _CHUNK_PAIRS)), h)
+        if row_pair[stop] > row_pair[y]:
+            sl = slice(row_seg[y], row_seg[stop])
+            yield _composite(
+                coef, seg_row[sl], seg_pixel[sl], nx[sl], y * w, (stop - y) * w, w, config, bg
             )
-    return tiles
+        y = stop
 
 
-def _bin_tiles(
-    prep: _Prepared, camera: Camera, config: RenderConfig
-) -> dict[tuple[int, int], np.ndarray]:
-    """Depth-sorted contributor positions (into the visible arrays) per tile."""
-    ts = config.tile_size
-    n_ty = (camera.height + ts - 1) // ts
-    n_tx = (camera.width + ts - 1) // ts
-    v = prep.vis_idx.size
-    if v == 0:
-        return {}
+def _composite(
+    coef: np.ndarray, seg_row: np.ndarray, seg_pixel: np.ndarray, seg_count: np.ndarray,
+    base: int, n_pixels: int, width: int, config: RenderConfig, bg: np.ndarray,
+) -> _Pairs:
+    """Composite one chunk: its segments (depth rank, flat pixel of the span's
+    first pair, span length) over its pixels ``base`` to ``base + n_pixels``.
+    The pairs are stable-sorted by pixel on the narrowest unsigned key, so
+    numpy radix-sorts them; each pixel's transmittance is then an exact
+    sequential product, one ``cumprod`` per block of the scan buffer."""
+    m = int(seg_count.sum())
+    local = np.repeat(seg_pixel - base - _starts(seg_count), seg_count)
+    local += np.arange(m)
+    local = local.astype(np.min_scalar_type(n_pixels - 1))
+    order = np.argsort(local, kind="stable")
+    counts = np.bincount(local, minlength=n_pixels)
+    pixels = np.flatnonzero(counts)
+    counts = counts[pixels]
+    rows = np.repeat(seg_row, seg_count).take(order)
+    del local, order
+    pixels += base
 
-    if math.isfinite(config.sigma_cutoff):
-        rx = config.sigma_cutoff * np.sqrt(np.maximum(prep.cov2d[:, 0, 0], 0.0))
-        ry = config.sigma_cutoff * np.sqrt(np.maximum(prep.cov2d[:, 1, 1], 0.0))
-        tx0 = np.clip(np.floor((prep.mean2d[:, 0] - rx) / ts).astype(np.int64), 0, n_tx - 1)
-        tx1 = np.clip(np.floor((prep.mean2d[:, 0] + rx) / ts).astype(np.int64), 0, n_tx - 1)
-        ty0 = np.clip(np.floor((prep.mean2d[:, 1] - ry) / ts).astype(np.int64), 0, n_ty - 1)
-        ty1 = np.clip(np.floor((prep.mean2d[:, 1] + ry) / ts).astype(np.int64), 0, n_ty - 1)
-        keep = ((prep.mean2d[:, 0] + rx) >= 0) & ((prep.mean2d[:, 0] - rx) <= camera.width - 1)
-        keep &= ((prep.mean2d[:, 1] + ry) >= 0) & ((prep.mean2d[:, 1] - ry) <= camera.height - 1)
-    else:
-        tx0 = np.zeros(v, np.int64)
-        tx1 = np.full(v, n_tx - 1, np.int64)
-        ty0 = np.zeros(v, np.int64)
-        ty1 = np.full(v, n_ty - 1, np.int64)
-        keep = np.ones(v, bool)
-
-    src = np.flatnonzero(keep)
-    if src.size == 0:
-        return {}
-    wx = tx1[src] - tx0[src] + 1
-    wy = ty1[src] - ty0[src] + 1
-    counts = wx * wy
-    total = int(counts.sum())
-
-    rep = np.repeat(np.arange(src.size), counts)
-    offsets = np.arange(total) - np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    pair_vis = src[rep]
-    pair_tx = tx0[pair_vis] + offsets % wx[rep]
-    pair_ty = ty0[pair_vis] + offsets // wx[rep]
-    tile_id = pair_ty * n_tx + pair_tx
-
-    # Primary key tile, then depth, then original index (stable tie-break).
-    order = np.lexsort((prep.vis_idx[pair_vis], prep.depth[pair_vis], tile_id))
-    tile_sorted = tile_id[order]
-    vis_sorted = pair_vis[order]
-
-    bounds = np.flatnonzero(np.diff(tile_sorted)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [tile_sorted.size]))
-    tiles = {}
-    for s, e in zip(starts, ends):
-        tid = int(tile_sorted[s])
-        tiles[(tid // n_tx, tid % n_tx)] = vis_sorted[s:e]
-    return tiles
-
-
-class _TileState(NamedTuple):
-    """What the backward reads of one tile's forward compositing."""
-
-    gauss: np.ndarray  # (K, P) Gaussian falloff exp(power)
-    dxs: np.ndarray    # (K, Wt) pixel x minus each mean
-    dys: np.ndarray    # (K, Ht) pixel y minus each mean
-    trans: np.ndarray  # (K + 1, P) row i: transmittance in front of contributor i
-    pix: np.ndarray    # (P, 3) color before the [0, 1] clip
-
-
-def _tile_alpha(gauss: np.ndarray, opacity: np.ndarray, config: RenderConfig) -> np.ndarray:
-    """(K, P) alphas: falloff times opacity, clamped, small ones skipped."""
-    alpha = gauss * opacity[:, None]
+    # Per-pair coefficients are gathered one row at a time into ``tmp``.
+    tmp = np.empty(m)
+    dy, dx = np.repeat(np.divmod(pixels, width), counts, axis=1).astype(np.float64)
+    dx -= coef[0].take(rows, out=tmp)
+    dy -= coef[1].take(rows, out=tmp)
+    # power = -(a dx^2 + 2 b dx dy + c dy^2) / 2
+    gauss = coef[3].take(rows)
+    gauss *= dx
+    gauss *= dy
+    coef[4].take(rows, out=tmp)
+    tmp *= dy
+    tmp *= dy
+    np.subtract(tmp, gauss, out=gauss)
+    coef[2].take(rows, out=tmp)
+    tmp *= dx
+    tmp *= dx
+    gauss += tmp
+    np.exp(gauss, out=gauss)
+    alpha = coef[5].take(rows)
+    alpha *= gauss
     np.minimum(alpha, config.alpha_clamp, out=alpha)
     if config.alpha_skip > 0.0:
         alpha[alpha < config.alpha_skip] = 0.0
-    return alpha
 
+    # A pixel's scan row is 2^k + 1 cells wide, 2^k >= its pair count.
+    row_cells = (1 << np.frexp(counts - 1)[1].astype(np.int64)) + 1
+    by_width = np.argsort(row_cells, kind="stable")
+    row_cells = row_cells.take(by_width)
+    first_cell = _starts(row_cells)
+    cell0 = np.empty_like(first_cell)
+    cell0[by_width] = first_cell
+    widths, lo, n = np.unique(row_cells, return_index=True, return_counts=True)
+    blocks = tuple(zip(first_cell[lo].tolist(), n.tolist(), widths.tolist()))
+    start = _starts(counts)
+    slot = np.repeat(cell0 - start, counts)
+    slot += np.arange(m)
 
-def _tile_weights(
-    alpha: np.ndarray, trans: np.ndarray, config: RenderConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """(K, P) compositing weights and acceptance masks.
-
-    A contributor is dropped (along with everything behind it) as soon as
-    accepting it would push the pixel's transmittance below the floor.
-    """
-    active = trans[1:] >= config.transmittance_floor
-    weights = alpha * trans[:-1]
-    weights *= active
-    return weights, active
-
-
-def _composite_tile(
-    prep: _Prepared,
-    members: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    config: RenderConfig,
-    bg: np.ndarray,
-) -> tuple[_TileState, np.ndarray]:
-    """Falloffs, alphas, transmittances, weights and front-to-back
-    compositing of one tile's K contributors.
-
-    Returns the tile's state for the backward and its (P,) terminal
-    transmittance. The forward calls this for every occupied tile; the
-    backward calls it again only for an output rendered without
-    ``for_backward``.
-
-    The quadratic form is assembled from per-axis (K, tile) pieces, the only
-    full K x P passes being the final broadcast sum and the exp; the K x P
-    steps run in place where they can, to keep per-tile temporaries few.
-    """
-    mx = prep.mean2d[members, 0]
-    my = prep.mean2d[members, 1]
-    a = prep.conic[members, 0, 0]
-    b = prep.conic[members, 0, 1]
-    c = prep.conic[members, 1, 1]
-    dxs = xs[None, :] - mx[:, None]  # (K, Wt)
-    dys = ys[None, :] - my[:, None]  # (K, Ht)
-    qx = (-0.5 * a)[:, None] * dxs * dxs
-    qy = (-0.5 * c)[:, None] * dys * dys
-    bdx = b[:, None] * dxs
-    power = bdx[:, None, :] * dys[:, :, None]  # (K, Ht, Wt)
-    np.subtract(qy[:, :, None], power, out=power)
-    power += qx[:, None, :]
-    k = members.size
-    gauss = np.exp(power, out=power).reshape(k, -1)
-    alpha = _tile_alpha(gauss, prep.opacity[members], config)
-
-    # Row i is the transmittance in front of contributor i; row i + 1 is
-    # the transmittance after accepting it.
-    trans = np.empty((k + 1, alpha.shape[1]))
-    trans[0] = 1.0
-    inc = trans[1:]
-    np.subtract(1.0, alpha, out=inc)
-    np.cumprod(inc, axis=0, out=inc)
-    weights, active = _tile_weights(alpha, trans, config)
-    # ``active`` is a prefix of each column, so row n_active of ``trans`` is
-    # the transmittance behind the last accepted contributor (1 if none).
-    t_final = trans[active.sum(axis=0), np.arange(alpha.shape[1])]
-    pix = weights.T @ prep.color[members] + t_final[:, None] * bg
-    return _TileState(gauss, dxs, dys, trans, pix), t_final
+    # A pixel's first cell is 1 and the cell behind pair j holds 1 - alpha_j;
+    # after the cumprod, the cell in front of pair j holds the transmittance
+    # in front of it.
+    buf = np.ones(int(first_cell[-1] + row_cells[-1]))
+    behind = buf[1:]
+    behind[slot] = np.subtract(1.0, alpha, out=tmp)
+    for view in _block_views(buf, blocks):
+        np.cumprod(view, axis=1, out=view)
+    trans = buf.take(slot)
+    weights = alpha * trans
+    t_final, active = buf.take(cell0 + counts), np.ones(m, bool)
+    # A pair is dropped (with everything behind it) once accepting it would
+    # push the transmittance below the floor; it only falls, so check there.
+    if (t_final < config.transmittance_floor).any():
+        active = behind.take(slot, out=tmp) >= config.transmittance_floor
+        weights *= active
+        # ``active`` is a prefix of each pixel's pairs: the cell behind the
+        # last accepted pair (the first cell if none) is the terminal one.
+        t_final = buf.take(cell0 + np.add.reduceat(active, start, dtype=np.intp))
+    rgb = coef[6:].take(rows, axis=1)
+    rgb *= weights
+    color = np.add.reduceat(rgb, start, axis=1).T
+    color += t_final[:, None] * bg
+    return _Pairs(
+        rows, dx, dy, gauss, alpha, trans, active, weights, slot,
+        pixels, counts, cell0 + counts, color, t_final, blocks,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +524,10 @@ def rasterize(
 ) -> RenderOutput:
     """Render the scene front to back over ``background``.
 
-    With ``for_backward`` the output keeps each tile's Gaussian falloff and
-    transmittance (two K x P arrays per tile), which ``rasterize_backward``
-    reads instead of compositing the tile again. Leave it off for renders
-    that no backward follows.
+    With ``for_backward`` the output keeps each chunk's pair state (a few
+    per-pair arrays) and the visible rows' SH coefficients in float64, which
+    ``rasterize_backward`` reads instead of building them again. Leave it off
+    for renders that no backward follows.
     """
     config = config or RenderConfig()
     bg = np.asarray(background, np.float64)
@@ -514,35 +535,25 @@ def rasterize(
         raise InvalidParameterError("background must be an RGB triple")
 
     h, w = camera.height, camera.width
-    image = np.tile(bg, (h, w, 1))
-    transmittance = np.ones((h, w))
-
-    prep = _prepare(gaussians, camera, config)
-    tiles = _bin_tiles(prep, camera, config)
-    grid = _tile_grid(h, w, config.tile_size)
-
-    kept = {} if for_backward else None
-    for key, members in tiles.items():
-        ysl, xsl, xs, ys = grid[key]
-        state, t_final = _composite_tile(prep, members, xs, ys, config, bg)
-        shape = (ysl.stop - ysl.start, xsl.stop - xsl.start)
-        image[ysl, xsl] = state.pix.reshape(shape + (3,))
-        transmittance[ysl, xsl] = t_final.reshape(shape)
+    image = np.tile(bg, (h * w, 1))
+    transmittance = np.ones(h * w)
+    prep = _prepare(gaussians, camera, config, keep_sh=for_backward)
+    kept = [] if for_backward else None
+    for pairs in _pair_chunks(prep, camera, config, bg):
+        image[pairs.pixels] = pairs.color
+        transmittance[pairs.pixels] = pairs.t_final
         if kept is not None:
-            for arr in state:
+            for arr in pairs[:-1]:
                 arr.flags.writeable = False
-            kept[key] = state
-        # free this tile's K x P arrays before the next tile allocates its own
-        del state
+            kept.append(pairs)
 
     np.clip(image, 0.0, 1.0, out=image)
     return RenderOutput(
-        image=image,
-        terminal_transmittance=transmittance,
+        image=image.reshape(h, w, 3),
+        terminal_transmittance=transmittance.reshape(h, w),
         background=bg,
         config=config,
         _prep=prep,
-        _tiles=tiles,
         _scene=gaussians,
         _camera=camera,
         _kept=kept,
@@ -567,7 +578,7 @@ def rasterize_backward(
     contribute in the forward pass receive exactly zero gradient.
     ``render_output`` must come from ``rasterize`` on these very ``gaussians``
     and ``camera`` objects: the backward reuses the forward's projection and
-    tile lists.
+    pairs.
     """
     if render_output._scene is not gaussians:
         raise InvalidStateError("render output was not rendered from this scene object")
@@ -583,83 +594,73 @@ def rasterize_backward(
     config = render_output.config
     bg = render_output.background
     prep = render_output._prep
-    # Per visible row: d_color (3), then the (3, 3) moments of dL/d(alpha)
-    # times the Gaussian falloff, summed over the row's pixels in every tile
-    # (see _tile_moments). Opacity and conic factors are per-row constants,
-    # so they are applied once after the tile loop.
-    acc = np.zeros((prep.vis_idx.size, 12))
-
-    kept = render_output._kept
-    grid = _tile_grid(camera.height, camera.width, config.tile_size)
-    for key, members in render_output._tiles.items():
-        ysl, xsl, xs, ys = grid[key]
-        gauss, dxs, dys, trans, pix = (
-            kept[key] if kept is not None
-            else _composite_tile(prep, members, xs, ys, config, bg)[0]
-        )
-        alpha = _tile_alpha(gauss, prep.opacity[members], config)
-        weights, active = _tile_weights(alpha, trans, config)
-        t_final = render_output.terminal_transmittance[ysl, xsl].reshape(-1)
-
-        g_pix = d_image[ysl, xsl].reshape(-1, 3)
-        g_pix = np.where(pix <= 1.0, g_pix, 0.0)  # adjoint of the [0,1] clip
-        k = members.size
-
+    chunks = render_output._kept or _pair_chunks(prep, camera, config, bg)
+    g_image = d_image.reshape(-1, 3)
+    color_t = np.ascontiguousarray(prep.color.take(prep.front, axis=0).T)
+    # Per depth rank: d_color (3), then the sums over its pairs of
+    # dL/d(alpha) times the Gaussian falloff times 1, dx, dy, dx^2, dx dy and
+    # dy^2. Opacity and conic factors are per-row constants, so they are
+    # applied once after the chunk loop.
+    ranked = np.zeros((9, prep.vis_idx.size))
+    for p in chunks:
+        g_pix = np.where(p.color <= 1.0, g_image[p.pixels], 0.0)  # adjoint of the [0,1] clip
+        g = np.repeat(g_pix.T, p.counts, axis=1)  # (3, M)
+        tmp, e = np.empty(p.rows.size), np.zeros(p.rows.size)  # e: c . g per pair
+        for k in range(3):
+            e += np.multiply(color_t[k].take(p.rows, out=tmp), g[k], out=tmp)
         # dL/d alpha_i = T_i (c_i . g) - (suffix_i + bg-term) / (1 - alpha_i),
-        # suffix_i being the sum of weights * (c . g) behind contributor i.
-        # Rows 0..K-1 of ``behind`` hold weights * (c . g) and row K the
-        # background term; one cumsum from the back leaves suffix_i plus the
-        # background term in row i + 1.
-        e = prep.color[members] @ g_pix.T              # (K, P)
-        behind = np.empty((k + 1, e.shape[1]))
-        np.multiply(weights, e, out=behind[:k])
-        np.multiply(g_pix @ bg, t_final, out=behind[k])
-        np.cumsum(behind[::-1], axis=0, out=behind[::-1])
-        suffix = behind[1:]
-        suffix /= 1.0 - alpha
-        d_alpha = np.multiply(trans[:-1], e, out=e)
+        # suffix_i being the sum of weights * (c . g) behind pair i in its
+        # pixel: with weights * (c . g) in front of each pair and the
+        # background term behind the last, one cumsum from the back leaves it
+        # in the cell behind pair i.
+        buf = np.zeros(sum(n * width for _, n, width in p.blocks))
+        buf[p.slot] = np.multiply(p.weights, e, out=tmp)
+        buf[p.tail] = (g_pix @ bg) * p.t_final
+        for view in _block_views(buf, p.blocks):
+            np.cumsum(view[:, ::-1], axis=1, out=view[:, ::-1])
+        suffix = buf[1:].take(p.slot, out=tmp)
+        del buf
+        suffix /= 1.0 - p.alpha
+        d_alpha = np.multiply(p.trans, e, out=e)
         d_alpha -= suffix
         # zero where skipped, terminated, or where the clamp bound alpha
-        d_alpha *= (alpha > 0) & active & (alpha < config.alpha_clamp)
-        d_alpha *= gauss  # dL/d(opacity); dL/d(power) is this times opacity
-
-        mom = _tile_moments(d_alpha.reshape(k, dys.shape[1], dxs.shape[1]), dxs, dys)
-        acc[members] += np.concatenate((weights @ g_pix, mom.reshape(k, 9)), axis=1)
+        d_alpha *= (p.alpha > 0) & p.active & (p.alpha < config.alpha_clamp)
+        d_alpha *= p.gauss  # dL/d(opacity); dL/d(power) is this times opacity
+        g *= p.weights
+        d_dx = np.multiply(d_alpha, p.dx, out=tmp)
+        d_dy = d_alpha * p.dy
+        second = ((d_dx, p.dx), (d_dx, p.dy), (d_dy, p.dy))
+        _add_per_row(ranked, p.rows, chain(
+            g, (d_alpha, d_dx, d_dy), (u * v for u, v in second)
+        ))
+    acc = np.empty_like(ranked)
+    acc[:, prep.front] = ranked
 
     # With power = -(a dx^2 + 2 b dx dy + c dy^2) / 2 and dx = x - mean_x:
     # dL/dmean = opacity * conic @ (sum dx, sum dy) and dL/dconic =
     # -opacity / 2 * [[sum dx^2, sum dx dy], [sum dx dy, sum dy^2]].
-    mom = acc[:, 3:].reshape(-1, 3, 3)
     o = prep.opacity[:, None]
-    d_mean2d = o * np.einsum("vij,vj->vi", prep.conic, mom[:, [0, 1], [1, 0]])
+    d_mean2d = o * np.einsum("vij,vj->vi", prep.conic, acc[4:6].T)
     d_conic = np.empty_like(prep.conic)
-    d_conic[:, 0, 0] = mom[:, 0, 2]
-    d_conic[:, 0, 1] = d_conic[:, 1, 0] = mom[:, 1, 1]
-    d_conic[:, 1, 1] = mom[:, 2, 0]
+    d_conic[:, 0, 0] = acc[6]
+    d_conic[:, 0, 1] = d_conic[:, 1, 0] = acc[7]
+    d_conic[:, 1, 1] = acc[8]
     d_conic *= -0.5 * o[:, None]
     grads = _chain_to_parameters(
-        gaussians, camera, prep, acc[:, :3], mom[:, 0, 0], d_mean2d, d_conic
+        gaussians, camera, prep, acc[:3].T, acc[3], d_mean2d, d_conic
     )
     norms = np.zeros(gaussians.count)
     norms[prep.vis_idx] = np.linalg.norm(d_mean2d, axis=1)
     return grads, norms
 
 
-def _tile_moments(grad: np.ndarray, dxs: np.ndarray, dys: np.ndarray) -> np.ndarray:
-    """(K, 3, 3) moments ``m[k, i, j] = sum over pixels of grad * dy^i * dx^j``
-    of a (K, Ht, Wt) tile array, given the (K, Wt) and (K, Ht) pixel offsets.
-
-    Two batched matmuls with the powers 1, d, d^2 of each offset.
-    """
-    k, ht, wt = grad.shape
-    py = np.empty((k, 3, ht))
-    px = np.empty((k, wt, 3))
-    py[:, 0] = px[:, :, 0] = 1.0
-    py[:, 1] = dys
-    px[:, :, 1] = dxs
-    np.multiply(dys, dys, out=py[:, 2])
-    np.multiply(dxs, dxs, out=px[:, :, 2])
-    return py @ grad @ px
+def _add_per_row(acc: np.ndarray, rows: np.ndarray, values) -> None:
+    """``acc[k, r] +=`` the sum of the k-th of ``values`` (a generator holds one
+    array at a time) over the pairs of row ``r``. Each sum runs on from
+    ``acc`` in pair order, so the totals do not depend on the chunking."""
+    seeded = np.concatenate((np.arange(acc.shape[1]), rows))
+    for k, v in enumerate(values):
+        acc[k] = np.bincount(seeded, np.concatenate((acc[k], v)))
 
 
 def _chain_to_parameters(
@@ -709,9 +710,8 @@ def _chain_to_parameters(
     gate = prep.color_raw > 0.0
     d_col = np.where(gate, d_color, 0.0)
     d_sh = prep.basis[:, :, None] * d_col[:, None, :]
-    d_dir = _sh_direction_gradient(
-        gaussians.sh_coeffs[vis].astype(np.float64), prep.view_dir, d_col
-    )
+    sh = prep.sh if prep.sh is not None else gaussians.sh_coeffs[vis].astype(np.float64)
+    d_dir = _sh_direction_gradient(sh, prep.dir_hat, d_col)
     d_pos += _normalize_vjp(prep.view_dir, d_dir)
 
     # Opacity chain through the logistic.
@@ -743,11 +743,10 @@ def _normalize_vjp(v: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
 
 
 def _sh_direction_gradient(
-    coeffs: np.ndarray, dir_raw: np.ndarray, d_color: np.ndarray
+    coeffs: np.ndarray, dir_hat: np.ndarray, d_color: np.ndarray
 ) -> np.ndarray:
-    """dL/d(unit direction) for the degree-3 SH color evaluation."""
-    norm = np.linalg.norm(dir_raw, axis=1, keepdims=True)
-    db = _sh_basis_jacobian(dir_raw / np.where(norm > 0, norm, 1.0))
+    """dL/d(unit direction) for the degree-3 SH color evaluation at ``dir_hat``."""
+    db = _sh_basis_jacobian(dir_hat)
     # dL/ddir_k = sum_{l,c} d_color_c * coeffs_{l,c} * db_{l,k}, contracted
     # over c first: one three-operand einsum is about 14x slower.
     return np.einsum("vlk,vl->vk", db, np.einsum("vlc,vc->vl", coeffs, d_color))

@@ -64,6 +64,10 @@ class OptimizerState:
     step_count: int = 0
     moments1: dict = field(default_factory=dict)
     moments2: dict = field(default_factory=dict)
+    # The moments before the last step, reused as the next step's output
+    # so that a step allocates no new moment arrays.
+    _spare1: dict = field(default_factory=dict, repr=False)
+    _spare2: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def create(scene: GaussianSet, config: OptimizerConfig, total_steps: int) -> "OptimizerState":
@@ -74,51 +78,56 @@ class OptimizerState:
             state.moments2[name] = np.zeros(arr.shape, np.float64)
         return state
 
-    def position_lr(self) -> float:
+    def position_lr(self, step: int | None = None) -> float:
+        """Position learning rate at ``step`` (default: the steps taken so far)."""
         cfg = self.config
         if cfg.position_lr_init == 0.0:
             return 0.0
-        frac = min(self.step_count / self.total_steps, 1.0)
+        step = self.step_count if step is None else step
+        frac = min(step / self.total_steps, 1.0)
         return cfg.position_lr_init * (cfg.position_lr_final / cfg.position_lr_init) ** frac
 
-    def _group_lr(self, name: str, shape: tuple) -> np.ndarray | float:
+    def _group_lr(self, name: str, step: int) -> float:
+        """Learning rate of every group but the SH coefficients."""
         cfg = self.config
         if name == "positions":
-            return self.position_lr()
+            return self.position_lr(step)
         if name == "rotations":
             return cfg.rotation_lr
         if name == "log_scales":
             return cfg.scale_lr
-        if name == "opacity_logits":
-            return cfg.opacity_lr
-        # SH: DC band at its own rate, higher bands slower.
-        lr = np.full(shape, cfg.sh_rest_lr, np.float64)
-        lr[:, 0, :] = cfg.sh_dc_lr
-        return lr
+        return cfg.opacity_lr
 
     def step(self, scene: GaussianSet, grads) -> GaussianSet:
         """One Adam update in storage space; renormalizes quaternions.
 
         Parameter arrays whose update is identically zero are passed through
         untouched, so a zero-learning-rate step leaves the scene bit-exact.
-        Raises ``DivergedRunError`` at this step if any updated parameter is
-        not finite.
+        The step is all or nothing: if any updated parameter is not finite it
+        raises ``DivergedRunError`` at this step and leaves the moments and
+        the step count as they were.
         """
-        self.step_count += 1
+        step = self.step_count + 1
         cfg = self.config
-        bias1 = 1.0 - cfg.beta1**self.step_count
-        bias2 = 1.0 - cfg.beta2**self.step_count
-        new_arrays = {}
+        bias1 = 1.0 - cfg.beta1**step
+        bias2 = 1.0 - cfg.beta2**step
+        moments1, moments2, new_arrays = {}, {}, {}
         for name in _GROUPS:
             grad = getattr(grads, name)
-            m = self.moments1[name]
-            v = self.moments2[name]
-            m *= cfg.beta1
+            m = np.multiply(self.moments1[name], cfg.beta1, out=self._spare1.get(name))
             m += (1.0 - cfg.beta1) * grad
-            v *= cfg.beta2
+            v = np.multiply(self.moments2[name], cfg.beta2, out=self._spare2.get(name))
             v += (1.0 - cfg.beta2) * grad * grad
-            lr = self._group_lr(name, m.shape)
-            delta = lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+            moments1[name], moments2[name] = m, v
+            delta = m / bias1
+            if name == "sh_coeffs":
+                # DC band at its own rate, higher bands slower: two scalar
+                # products, several times faster than a broadcast rate array
+                delta[:, :1] *= cfg.sh_dc_lr
+                delta[:, 1:] *= cfg.sh_rest_lr
+            else:
+                delta *= self._group_lr(name, step)
+            delta /= np.sqrt(v / bias2) + cfg.eps
             if not np.any(delta):
                 continue
             updated = getattr(scene, name).astype(np.float64) - delta
@@ -126,11 +135,11 @@ class OptimizerState:
                 updated = normalize_quaternions(updated)
             updated = updated.astype(np.float32)
             if not np.isfinite(updated).all():
-                raise DivergedRunError(
-                    self.step_count,
-                    f"non-finite {name} update at iteration {self.step_count}",
-                )
+                raise DivergedRunError(step, f"non-finite {name} update at iteration {step}")
             new_arrays[name] = updated
+        self.step_count = step
+        self._spare1, self.moments1 = self.moments1, moments1
+        self._spare2, self.moments2 = self.moments2, moments2
         if not new_arrays:
             return scene
         return scene.with_updates(**new_arrays)

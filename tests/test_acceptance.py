@@ -209,7 +209,7 @@ def test_criterion_8_throughput_scaling(desk):
             times.append(time.perf_counter() - t0)
         return float(np.median(times))
 
-    rasterize(bench.baseline, camera, np.zeros(3))  # warm the tile cache
+    rasterize(bench.baseline, camera, np.zeros(3))  # warm-up render
     t_base = median_render_time(bench.baseline)
     t_pruned = median_render_time(desk["pruned"])
     assert t_pruned <= 0.75 * t_base

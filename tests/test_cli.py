@@ -2,10 +2,12 @@
 
 import csv
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from splatrim import cli
 from splatrim.cli import main
 from splatrim.sceneio import read_ply
 
@@ -229,6 +231,27 @@ class TestTrim:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "overwrite" in err
         assert sha(copy) == before
+
+    @pytest.mark.parametrize("flag", ["--out-scene", "--report", "--history"])
+    def test_missing_output_directory_fails_before_loading(
+        self, workspace, tmp_path, capsys, monkeypatch, flag
+    ):
+        scene, manifest = data_paths(workspace)
+        paths = {f: str(tmp_path / f"{f[2:]}.out") for f in ("--out-scene", "--report", "--history")}
+        paths[flag] = str(tmp_path / "nodir" / "out")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("loaded the scene before checking the outputs")
+
+        monkeypatch.setattr(cli, "read_ply", refuse)
+        argv = ["trim", "--scene", str(scene), "--manifest", str(manifest)]
+        for f, path in paths.items():
+            argv += [f, path]
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and "nodir" in err
+        assert not any(p.exists() for p in map(Path, paths.values()))
 
     def test_missing_test_split_fails_before_training(
         self, workspace, tmp_path, capsys, monkeypatch

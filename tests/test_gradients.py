@@ -28,9 +28,9 @@ def camera_16():
 def check_all_gradients(scene, camera, config, loss_cfg, background, target):
     """Assert every storage-space parameter gradient against central FD.
 
-    The analytic gradients are computed from the kept tile state of a
-    ``for_backward`` render and from a plain render, whose backward
-    composites each tile again; the two must agree bitwise.
+    The analytic gradients are computed from the kept pair state of a
+    ``for_backward`` render and from a plain render, whose backward builds
+    each chunk again; the two must agree bitwise.
     """
 
     def loss_of(s):

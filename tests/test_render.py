@@ -1,5 +1,6 @@
 """Forward rasterizer: projection, compositing, and its invariants."""
 
+import dataclasses
 import math
 import time
 
@@ -18,7 +19,8 @@ from splatrim.render import (
     rasterize,
     rasterize_backward,
 )
-from splatrim.render import _sh_basis_jacobian, _sh_direction_gradient, _tile_moments
+from splatrim import render as render_module
+from splatrim.render import _add_per_row, _sh_basis_jacobian, _sh_direction_gradient
 
 BLACK = np.zeros(3)
 
@@ -252,7 +254,7 @@ class TestRasterize:
 
 
 def brute_force_render(scene, camera, background):
-    """Per-pixel reference rasterizer: plain loops, no tiles, no cut-offs."""
+    """Per-pixel reference rasterizer: plain loops, no pairs, no cut-offs."""
     from splatrim.core import sh_basis
 
     w2c = camera.world_to_camera
@@ -333,6 +335,119 @@ class TestBruteForceOracle:
         out = rasterize(scene, cam, bg, RenderConfig.exact())
         np.testing.assert_allclose(out.image, brute_force_render(scene, cam, bg), atol=1e-12)
 
+    def test_thousands_of_stacked_splats_on_one_pixel(self):
+        # every pixel holds all 3,000 pairs, so its transmittance is one
+        # 3,000-long product; faint splats keep every one of them visible
+        rng = np.random.default_rng(13)
+        n = 3000
+        base = random_scene(13, n, depth_start=1.7, depth_step=0.001)
+        scene = base.with_updates(
+            opacity_logits=rng.normal(-6.0, 0.5, n).astype(np.float32)
+        )
+        cam = Camera(np.eye(4), fx=4.0, fy=4.0, cx=0.5, cy=0.5, width=2, height=2)
+        bg = np.array([0.2, 0.5, 0.7])
+        out = rasterize(scene, cam, bg, RenderConfig.exact())
+        assert 0.001 < out.terminal_transmittance.max() < 0.9
+        np.testing.assert_allclose(out.image, brute_force_render(scene, cam, bg), atol=1e-12)
+
+
+class TestPairs:
+    """The pair rasterizer: which pixels a splat reaches, and chunking."""
+
+    def test_pixel_in_box_but_outside_ellipse_is_background(self):
+        # a thin splat along the image diagonal, rendered with no alpha skip:
+        # pixels inside its 3-sigma bounding box but just outside its ellipse,
+        # where a box would still give an alpha of 1e-5 or more, stay exactly
+        # at the background
+        q = np.array([np.cos(np.pi / 8), 0.0, 0.0, np.sin(np.pi / 8)], np.float32)
+        scene = GaussianSet(
+            positions=np.array([[0.0, 0.0, 2.0]], np.float32),
+            rotations=q[None, :],
+            log_scales=np.log(np.array([[0.5, 0.02, 0.02]], np.float32)),
+            opacity_logits=np.array([opacity_logit(0.9)], np.float32),
+            sh_coeffs=np.zeros((1, 16, 3), np.float32),
+        )
+        cam = camera_16()
+        bg = np.array([0.1, 0.2, 0.3])
+        out = rasterize(scene, cam, bg, CONFIGS["desk"])
+        proj = project(scene, cam)
+        cov, mean = proj.cov2d[0], proj.mean2d[0]
+        ys, xs = np.mgrid[0:16, 0:16]
+        d = np.stack([xs - mean[0], ys - mean[1]], axis=-1)
+        form = np.einsum("hwi,ij,hwj->hw", d, np.linalg.inv(cov), d)
+        in_box = np.all(np.abs(d) <= 3.0 * np.sqrt(np.diag(cov)), axis=-1)
+        near = in_box & (form > 9.0 + 1e-9) & (form < 25.0)
+        assert near.sum() >= 10
+        np.testing.assert_array_equal(out.image[near], np.broadcast_to(bg, (near.sum(), 3)))
+        np.testing.assert_array_equal(out.terminal_transmittance[near], 1.0)
+        assert np.all(out.terminal_transmittance[form < 9.0 - 1e-9] < 1.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pairs_are_ellipse_pixels_whose_alpha_reaches_the_skip(self, seed):
+        # the exact config pairs every visible splat with every pixel; the
+        # default config keeps those inside the 3-sigma ellipse whose alpha is
+        # not skipped, and no other
+        scene, cam, bg, _ = crowded_case(seed)
+        config = CONFIGS["default"]
+
+        def pairs(out):
+            prep = out._prep
+            found = {}
+            for p in out._kept:
+                rows = prep.front[p.rows]
+                pix = np.repeat(p.pixels, p.counts)
+                conic = prep.conic[rows]
+                form = (conic[:, 0, 0] * p.dx**2 + 2 * conic[:, 0, 1] * p.dx * p.dy
+                        + conic[:, 1, 1] * p.dy**2)
+                raw_alpha = np.minimum(p.gauss * prep.opacity[rows], config.alpha_clamp)
+                for key in zip(prep.vis_idx[rows], pix, form, raw_alpha):
+                    found[key[:2]] = key[2:]
+            return found
+
+        every = pairs(rasterize(scene, cam, bg, RenderConfig.exact(), for_backward=True))
+        kept = pairs(rasterize(scene, cam, bg, config, for_backward=True))
+        want = {
+            key for key, (form, alpha) in every.items()
+            if form <= 9.0 and alpha >= config.alpha_skip
+        }
+        # pixels within rounding of either boundary may go either way
+        edge = {
+            key for key, (form, alpha) in every.items()
+            if abs(form - 9.0) < 1e-9 or abs(alpha / config.alpha_skip - 1.0) < 1e-6
+        }
+        assert len(want) > 1000
+        assert set(kept) - edge == want - edge
+        assert all(alpha >= config.alpha_skip for _, alpha in kept.values())
+
+    @pytest.mark.parametrize("cfg_name", ["default", "desk"])
+    def test_tile_size_and_chunking_change_nothing(self, cfg_name, monkeypatch):
+        scene, cam, bg, d_image = crowded_case(2)
+
+        def run(config):
+            out = rasterize(scene, cam, bg, config, for_backward=True)
+            grads, norms = rasterize_backward(scene, cam, out, d_image)
+            return out, grads, norms
+
+        ref_out, ref_grads, ref_norms = run(CONFIGS[cfg_name])
+        assert len(ref_out._kept) == 1
+        runs = [
+            run(dataclasses.replace(CONFIGS[cfg_name], tile_size=ts)) for ts in (1, 8, 16, 64)
+        ]
+        # a budget of one pair closes a chunk at every pixel row that has one
+        monkeypatch.setattr(render_module, "_CHUNK_PAIRS", 1)
+        runs.append(run(CONFIGS[cfg_name]))
+        assert len(runs[-1][0]._kept) == cam.height
+        for out, grads, norms in runs:
+            np.testing.assert_array_equal(out.image, ref_out.image)
+            np.testing.assert_array_equal(out.terminal_transmittance, ref_out.terminal_transmittance)
+            for name in GRAD_FIELDS:
+                np.testing.assert_array_equal(getattr(grads, name), getattr(ref_grads, name))
+            np.testing.assert_array_equal(norms, ref_norms)
+
+    def test_invalid_tile_size_still_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            RenderConfig(tile_size=0)
+
 
 GRAD_FIELDS = ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs")
 CONFIGS = {
@@ -343,9 +458,9 @@ CONFIGS = {
 
 
 def crowded_case(seed):
-    """200 splats on a 32x27 view (partial tiles along the bottom edge), with
-    opacities high enough that renders terminate early, clip above one and
-    bind the alpha clamp; returns (scene, camera, background, d_image)."""
+    """200 splats on a 32x27 view, with opacities high enough that renders
+    terminate early, clip above one and bind the alpha clamp; returns
+    (scene, camera, background, d_image)."""
     rng = np.random.default_rng(seed)
     n = 200
     pos = rng.uniform(-0.6, 0.6, (n, 3))
@@ -381,14 +496,10 @@ class TestBackwardPlumbing:
         np.testing.assert_array_equal(kept.terminal_transmittance, plain.terminal_transmittance)
 
         # the case exercises what the kept state must reproduce
-        opacity = kept._prep.opacity
-        states = [(kept._kept[key], rows) for key, rows in kept._tiles.items()]
-        assert any(s.gauss.shape[1] < config.tile_size**2 for s, _ in states)
-        assert any((s.gauss * opacity[rows, None] > config.alpha_clamp).any() for s, rows in states)
-        assert any((s.pix > 1.0).any() for s, _ in states)
+        assert any((p.alpha == config.alpha_clamp).any() for p in kept._kept)
+        assert any((p.color > 1.0).any() for p in kept._kept)
         if cfg_name != "exact":
-            floor = config.transmittance_floor
-            assert any((s.trans[1:] < floor).any() for s, _ in states)
+            assert any((~p.active).any() for p in kept._kept)
 
         grads_kept, norms_kept = rasterize_backward(scene, cam, kept, d_image)
         grads_plain, norms_plain = rasterize_backward(scene, cam, plain, d_image)
@@ -400,23 +511,22 @@ class TestBackwardPlumbing:
     def test_kept_state_is_read_only(self):
         scene, cam, bg, d_image = crowded_case(3)
         out = rasterize(scene, cam, bg, CONFIGS["desk"], for_backward=True)
-        before = {key: [arr.copy() for arr in state] for key, state in out._kept.items()}
+        before = [[np.copy(arr) for arr in pairs] for pairs in out._kept]
         first = rasterize_backward(scene, cam, out, d_image)
         second = rasterize_backward(scene, cam, out, d_image)
         for name in GRAD_FIELDS:
             np.testing.assert_array_equal(getattr(first[0], name), getattr(second[0], name))
         np.testing.assert_array_equal(first[1], second[1])
-        for key, state in out._kept.items():
-            for arr, copy in zip(state, before[key]):
-                assert not arr.flags.writeable
+        for pairs, copies in zip(out._kept, before):
+            for arr, copy in zip(pairs, copies):
+                if isinstance(arr, np.ndarray):
+                    assert not arr.flags.writeable
                 np.testing.assert_array_equal(arr, copy)
 
-    def test_forward_only_render_keeps_no_tile_state(self):
+    def test_forward_only_render_keeps_no_pair_state(self):
         scene, cam, bg, _ = crowded_case(4)
         out = rasterize(scene, cam, bg, CONFIGS["default"])
         assert out._kept is None
-        # the contributor lists are the only per-tile arrays, one row index each
-        assert all(rows.ndim == 1 for rows in out._tiles.values())
 
     def test_zero_upstream_gradient(self):
         g = random_scene(1, 8)
@@ -465,7 +575,7 @@ class TestBackwardPlumbing:
 
     def test_different_camera_rejected(self):
         # an otherwise equal camera at another focal length would chain the
-        # forward's tile lists through the wrong intrinsics
+        # forward's projection through the wrong intrinsics
         g = random_scene(5, 6)
         out = rasterize(g, camera_16(fx=30.0, fy=30.0), BLACK)
         for cam in (camera_16(fx=45.0, fy=45.0), camera_16(fx=30.0, fy=30.0)):
@@ -505,28 +615,30 @@ class TestBackwardContractions:
         d_color = rng.normal(size=(40, 3))
         unit = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
         want = np.einsum("vlc,vc,vlk->vk", coeffs, d_color, _sh_basis_jacobian(unit))
-        got = _sh_direction_gradient(coeffs, dirs, d_color)
+        got = _sh_direction_gradient(coeffs, unit, d_color)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    def test_tile_moments_match_direct_einsums(self):
+    def test_per_row_moments_match_scatter_add(self):
+        # the backward's (1, dx, dy, dx^2, dx dy, dy^2) moments per splat
         rng = np.random.default_rng(12)
-        k, ht, wt = 37, 5, 8
-        grad = rng.normal(size=(k, ht, wt))
-        dxs = rng.normal(size=(k, wt)) * 4.0
-        dys = rng.normal(size=(k, ht)) * 4.0
-        mom = _tile_moments(grad, dxs, dys)
-        assert mom.shape == (k, 3, 3)
-        # mom[:, i, j] sums grad * dy^i * dx^j
-        want = {
-            (0, 0): np.einsum("khw->k", grad),
-            (0, 1): np.einsum("khw,kw->k", grad, dxs),
-            (1, 0): np.einsum("khw,kh->k", grad, dys),
-            (0, 2): np.einsum("khw,kw->k", grad, dxs * dxs),
-            (1, 1): np.einsum("khw,kh,kw->k", grad, dys, dxs),
-            (2, 0): np.einsum("khw,kh->k", grad, dys * dys),
-        }
-        for (i, j), ref in want.items():
-            np.testing.assert_allclose(mom[:, i, j], ref, rtol=1e-12, atol=0)
+        n_rows, m = 37, 900
+        rows = rng.integers(0, n_rows - 1, m)  # the last row has no pair
+        grad = rng.normal(size=m)
+        dx = rng.normal(size=m) * 4.0
+        dy = rng.normal(size=m) * 4.0
+        values = [grad * p for p in (np.ones(m), dx, dy, dx * dx, dx * dy, dy * dy)]
+        mom = np.zeros((6, n_rows))
+        _add_per_row(mom, rows, values)
+        for got, v in zip(mom, values):
+            want = np.zeros(n_rows)
+            np.add.at(want, rows, v)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert got[-1] == 0.0
+        # sums carried over a split equal the sums in one go, bitwise
+        split = np.zeros((6, n_rows))
+        _add_per_row(split, rows[:400], [v[:400] for v in values])
+        _add_per_row(split, rows[400:], [v[400:] for v in values])
+        np.testing.assert_array_equal(split, mom)
 
 
 class TestGradientStats:

@@ -1,5 +1,7 @@
 """Fine-tuning loop, optimizer behavior, and the prune pipelines."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,52 @@ class TestOptimizerState:
         getattr(grads, group)[3] = np.nan
         with pytest.raises(DivergedRunError, match=group) as err:
             opt.step(scene, grads)
-        assert err.value.iteration == opt.step_count == 2
+        assert err.value.iteration == 2
+
+    @pytest.mark.parametrize("group", ["positions", "sh_coeffs"])
+    def test_failed_step_leaves_the_state_unchanged(self, small_dataset, group):
+        # the groups before and after the bad one must not move either, so a
+        # caller that catches the error continues from the state before it
+        scene, views = small_dataset
+        camera, target = views[0]
+        opt = OptimizerState.create(scene, OptimizerConfig(), 10)
+        scene = finetune_step(scene, opt, camera, target, LossConfig(), FAST).scene
+        before = copy.deepcopy(opt)
+        grads = ParamGradients.zeros(scene.count)
+        for name in ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs"):
+            getattr(grads, name)[...] = 0.5
+        getattr(grads, group)[3] = np.nan
+        with pytest.raises(DivergedRunError, match=group):
+            opt.step(scene, grads)
+        assert opt.step_count == before.step_count == 1
+        for moments, saved in ((opt.moments1, before.moments1), (opt.moments2, before.moments2)):
+            assert moments.keys() == saved.keys()
+            for name in saved:
+                np.testing.assert_array_equal(moments[name], saved[name])
+
+    def test_sh_rates_match_a_full_rate_array(self):
+        # the broadcast (16, 1) rate gives bitwise the update of an (N, 16, 3)
+        # array holding the DC rate in band 0 and the rest rate elsewhere
+        rng = np.random.default_rng(4)
+        n = 7
+        scene = GaussianSet(
+            positions=rng.normal(size=(n, 3)).astype(np.float32),
+            rotations=np.tile(np.array([1, 0, 0, 0], np.float32), (n, 1)),
+            log_scales=rng.normal(size=(n, 3)).astype(np.float32),
+            opacity_logits=rng.normal(size=n).astype(np.float32),
+            sh_coeffs=rng.normal(size=(n, 16, 3)).astype(np.float32),
+        )
+        cfg = OptimizerConfig()
+        grads = ParamGradients.zeros(n)
+        grads.sh_coeffs[...] = rng.normal(size=(n, 16, 3))
+        new = OptimizerState.create(scene, cfg, 10).step(scene, grads)
+        lr = np.full((n, 16, 3), cfg.sh_rest_lr)
+        lr[:, 0, :] = cfg.sh_dc_lr
+        m = (1.0 - cfg.beta1) * grads.sh_coeffs
+        v = (1.0 - cfg.beta2) * grads.sh_coeffs * grads.sh_coeffs
+        delta = lr * (m / (1.0 - cfg.beta1)) / (np.sqrt(v / (1.0 - cfg.beta2)) + cfg.eps)
+        want = (scene.sh_coeffs.astype(np.float64) - delta).astype(np.float32)
+        np.testing.assert_array_equal(new.sh_coeffs, want)
 
     def test_position_lr_decays_exponentially(self):
         scene = GaussianSet.empty()
