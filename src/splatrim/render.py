@@ -264,7 +264,6 @@ class _Prepared:
     opacity: np.ndarray      # (V,)
     view_dir: np.ndarray     # (V, 3) unnormalized (position - camera center)
     dir_hat: np.ndarray      # (V, 3) unit view direction
-    sh: np.ndarray | None    # (V, 16, 3) float64 SH coefficients, kept ``for_backward``
     basis: np.ndarray        # (V, 16)
     # Projection intermediates the backward chain reads (see _Projection).
     t_cam: np.ndarray
@@ -276,9 +275,7 @@ class _Prepared:
     q_hat: np.ndarray
 
 
-def _prepare(
-    gaussians: GaussianSet, camera: Camera, config: RenderConfig, keep_sh: bool = False
-) -> _Prepared:
+def _prepare(gaussians: GaussianSet, camera: Camera, config: RenderConfig) -> _Prepared:
     full = _project_full(gaussians, camera, config)
     vis_idx = np.flatnonzero(full.visible)
     cov2d = full.cov2d[vis_idx]
@@ -294,7 +291,6 @@ def _prepare(
     basis = sh_basis(dir_hat)
     sh = gaussians.sh_coeffs[vis_idx].astype(np.float64)
     color_raw = np.einsum("vk,vkc->vc", basis, sh) + 0.5
-    sh = sh if keep_sh else None  # freed before the gathers below
     color = np.maximum(color_raw, 0.0)
     opacity = activated_opacity(gaussians.opacity_logits[vis_idx].astype(np.float64))
 
@@ -309,7 +305,6 @@ def _prepare(
         opacity=np.atleast_1d(opacity),
         view_dir=dir_raw,
         dir_hat=dir_hat,
-        sh=sh,
         basis=basis,
         t_cam=full.t_cam[vis_idx],
         p_mat=full.p_mat[vis_idx],
@@ -382,6 +377,7 @@ def _pair_chunks(
         prep.color.T,
     )).take(prep.front, axis=1)
     mx, my, qa, b, qc, opacity = coef[:6]
+    a, c = -2.0 * qa, -2.0 * qc  # exactly; (a, b; b, c) is the conic
     s2 = np.full(opacity.shape, config.sigma_cutoff**2)
     if config.alpha_skip > 0.0:
         # Beyond 2 ln(opacity / alpha_skip) the alpha is skipped anyway: shrink
@@ -401,16 +397,18 @@ def _pair_chunks(
     row_seg = np.searchsorted(seg_y, np.arange(h + 1))  # first segment of each pixel row
     del ry, y0, live, ny, by_y
 
-    sa, sb = -2.0 * qa.take(seg_row), b.take(seg_row)  # -2 (-a/2) is a, exactly
+    # On pixel row y the span is mid +- half, with dy = y - mean y,
+    # mid = mean x - b dy / a and half = sqrt(a s2 - (a c - b^2) dy^2) / a.
+    sa, sb = a.take(seg_row), b.take(seg_row)
     dy = seg_y - my.take(seg_row)
-    sc = -2.0 * qc.take(seg_row)
-    half = np.sqrt(np.maximum(sa * s2.take(seg_row) - (sa * sc - sb * sb) * dy * dy, 0.0))
-    half /= sa
+    half = (a * s2).take(seg_row) - (a * c - b * b).take(seg_row) * dy * dy
+    half = np.sqrt(np.maximum(half, 0.0)) / sa
     mid = mx.take(seg_row) - sb * dy / sa
     x0 = np.clip(np.ceil(mid - half), 0, w).astype(np.int64)
     nx = np.maximum(np.clip(np.floor(mid + half), -1, w - 1).astype(np.int64) - x0 + 1, 0)
     seg_pixel = seg_y * w + x0
-    del sa, sb, sc, dy, half, mid, x0, seg_y, s2
+    seg_cterm = qc.take(seg_row) * dy * dy  # the power's -c/2 dy^2, fixed per segment
+    del sa, sb, half, mid, x0, seg_y, s2
     row_pair = np.concatenate(([0], np.cumsum(nx)))[row_seg]  # pairs before each pixel row
     y = 0
     while y < h:
@@ -418,45 +416,46 @@ def _pair_chunks(
         if row_pair[stop] > row_pair[y]:
             sl = slice(row_seg[y], row_seg[stop])
             yield _composite(
-                coef, seg_row[sl], seg_pixel[sl], nx[sl], y * w, (stop - y) * w, w, config, bg
+                coef, seg_row[sl], seg_pixel[sl], nx[sl], dy[sl], seg_cterm[sl],
+                y * w, (stop - y) * w, w, config, bg,
             )
         y = stop
 
 
 def _composite(
     coef: np.ndarray, seg_row: np.ndarray, seg_pixel: np.ndarray, seg_count: np.ndarray,
+    seg_dy: np.ndarray, seg_cterm: np.ndarray,
     base: int, n_pixels: int, width: int, config: RenderConfig, bg: np.ndarray,
 ) -> _Pairs:
     """Composite one chunk: its segments (depth rank, flat pixel of the span's
-    first pair, span length) over its pixels ``base`` to ``base + n_pixels``.
-    The pairs are stable-sorted by pixel on the narrowest unsigned key, so
-    numpy radix-sorts them; each pixel's transmittance is then an exact
-    sequential product, one ``cumprod`` per block of the scan buffer."""
+    first pair, span length, dy, -c/2 dy^2) over its pixels ``base`` to
+    ``base + n_pixels``. The pairs are stable-sorted by pixel on the narrowest
+    unsigned key, so numpy radix-sorts them; each pixel's transmittance is then
+    an exact sequential product, one ``cumprod`` per scan-buffer block."""
     m = int(seg_count.sum())
-    local = np.repeat(seg_pixel - base - _starts(seg_count), seg_count)
+    seg = np.repeat(np.arange(seg_count.size), seg_count)
+    local = (seg_pixel - base - _starts(seg_count)).take(seg)
     local += np.arange(m)
     local = local.astype(np.min_scalar_type(n_pixels - 1))
     order = np.argsort(local, kind="stable")
     counts = np.bincount(local, minlength=n_pixels)
     pixels = np.flatnonzero(counts)
     counts = counts[pixels]
-    rows = np.repeat(seg_row, seg_count).take(order)
+    seg = seg.take(order)
+    rows = seg_row.take(seg)
     del local, order
     pixels += base
 
     # Per-pair coefficients are gathered one row at a time into ``tmp``.
     tmp = np.empty(m)
-    dy, dx = np.repeat(np.divmod(pixels, width), counts, axis=1).astype(np.float64)
+    dx = np.repeat((pixels % width).astype(np.float64), counts)
     dx -= coef[0].take(rows, out=tmp)
-    dy -= coef[1].take(rows, out=tmp)
+    dy = seg_dy.take(seg)
     # power = -(a dx^2 + 2 b dx dy + c dy^2) / 2
     gauss = coef[3].take(rows)
     gauss *= dx
     gauss *= dy
-    coef[4].take(rows, out=tmp)
-    tmp *= dy
-    tmp *= dy
-    np.subtract(tmp, gauss, out=gauss)
+    np.subtract(seg_cterm.take(seg, out=tmp), gauss, out=gauss)
     coef[2].take(rows, out=tmp)
     tmp *= dx
     tmp *= dx
@@ -469,14 +468,15 @@ def _composite(
         alpha[alpha < config.alpha_skip] = 0.0
 
     # A pixel's scan row is 2^k + 1 cells wide, 2^k >= its pair count.
-    row_cells = (1 << np.frexp(counts - 1)[1].astype(np.int64)) + 1
-    by_width = np.argsort(row_cells, kind="stable")
-    row_cells = row_cells.take(by_width)
-    first_cell = _starts(row_cells)
-    cell0 = np.empty_like(first_cell)
-    cell0[by_width] = first_cell
-    widths, lo, n = np.unique(row_cells, return_index=True, return_counts=True)
-    blocks = tuple(zip(first_cell[lo].tolist(), n.tolist(), widths.tolist()))
+    k = np.frexp(counts - 1)[1].astype(np.uint8)
+    by_width = np.argsort(k, kind="stable")
+    cell0 = np.empty_like(counts)
+    cell0[by_width] = _starts((1 << k.take(by_width).astype(np.intp)) + 1)
+    n = np.bincount(k)
+    k = np.flatnonzero(n)
+    n, widths = n[k], (1 << k) + 1
+    first = _starts(n * widths)
+    blocks = tuple(zip(first.tolist(), n.tolist(), widths.tolist()))
     start = _starts(counts)
     slot = np.repeat(cell0 - start, counts)
     slot += np.arange(m)
@@ -484,7 +484,7 @@ def _composite(
     # A pixel's first cell is 1 and the cell behind pair j holds 1 - alpha_j;
     # after the cumprod, the cell in front of pair j holds the transmittance
     # in front of it.
-    buf = np.ones(int(first_cell[-1] + row_cells[-1]))
+    buf = np.ones(int(first[-1] + n[-1] * widths[-1]))
     behind = buf[1:]
     behind[slot] = np.subtract(1.0, alpha, out=tmp)
     for view in _block_views(buf, blocks):
@@ -500,10 +500,11 @@ def _composite(
         # ``active`` is a prefix of each pixel's pairs: the cell behind the
         # last accepted pair (the first cell if none) is the terminal one.
         t_final = buf.take(cell0 + np.add.reduceat(active, start, dtype=np.intp))
-    rgb = coef[6:].take(rows, axis=1)
-    rgb *= weights
-    color = np.add.reduceat(rgb, start, axis=1).T
-    color += t_final[:, None] * bg
+    pixel_of = np.repeat(np.arange(counts.size), counts)  # colours sum in pair order
+    color = np.outer(t_final, bg)
+    for c in range(3):
+        np.multiply(coef[6 + c].take(rows, out=tmp), weights, out=tmp)
+        color[:, c] += np.bincount(pixel_of, tmp, minlength=counts.size)
     return _Pairs(
         rows, dx, dy, gauss, alpha, trans, active, weights, slot,
         pixels, counts, cell0 + counts, color, t_final, blocks,
@@ -525,9 +526,8 @@ def rasterize(
     """Render the scene front to back over ``background``.
 
     With ``for_backward`` the output keeps each chunk's pair state (a few
-    per-pair arrays) and the visible rows' SH coefficients in float64, which
-    ``rasterize_backward`` reads instead of building them again. Leave it off
-    for renders that no backward follows.
+    per-pair arrays), which ``rasterize_backward`` reads instead of building
+    it again. Leave it off for renders that no backward follows.
     """
     config = config or RenderConfig()
     bg = np.asarray(background, np.float64)
@@ -537,7 +537,7 @@ def rasterize(
     h, w = camera.height, camera.width
     image = np.tile(bg, (h * w, 1))
     transmittance = np.ones(h * w)
-    prep = _prepare(gaussians, camera, config, keep_sh=for_backward)
+    prep = _prepare(gaussians, camera, config)
     kept = [] if for_backward else None
     for pairs in _pair_chunks(prep, camera, config, bg):
         image[pairs.pixels] = pairs.color
@@ -710,7 +710,7 @@ def _chain_to_parameters(
     gate = prep.color_raw > 0.0
     d_col = np.where(gate, d_color, 0.0)
     d_sh = prep.basis[:, :, None] * d_col[:, None, :]
-    sh = prep.sh if prep.sh is not None else gaussians.sh_coeffs[vis].astype(np.float64)
+    sh = gaussians.sh_coeffs[vis].astype(np.float64)
     d_dir = _sh_direction_gradient(sh, prep.dir_hat, d_col)
     d_pos += _normalize_vjp(prep.view_dir, d_dir)
 

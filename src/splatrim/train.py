@@ -64,10 +64,6 @@ class OptimizerState:
     step_count: int = 0
     moments1: dict = field(default_factory=dict)
     moments2: dict = field(default_factory=dict)
-    # The moments before the last step, reused as the next step's output
-    # so that a step allocates no new moment arrays.
-    _spare1: dict = field(default_factory=dict, repr=False)
-    _spare2: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def create(scene: GaussianSet, config: OptimizerConfig, total_steps: int) -> "OptimizerState":
@@ -114,9 +110,9 @@ class OptimizerState:
         moments1, moments2, new_arrays = {}, {}, {}
         for name in _GROUPS:
             grad = getattr(grads, name)
-            m = np.multiply(self.moments1[name], cfg.beta1, out=self._spare1.get(name))
+            m = self.moments1[name] * cfg.beta1
             m += (1.0 - cfg.beta1) * grad
-            v = np.multiply(self.moments2[name], cfg.beta2, out=self._spare2.get(name))
+            v = self.moments2[name] * cfg.beta2
             v += (1.0 - cfg.beta2) * grad * grad
             moments1[name], moments2[name] = m, v
             delta = m / bias1
@@ -138,8 +134,7 @@ class OptimizerState:
                 raise DivergedRunError(step, f"non-finite {name} update at iteration {step}")
             new_arrays[name] = updated
         self.step_count = step
-        self._spare1, self.moments1 = self.moments1, moments1
-        self._spare2, self.moments2 = self.moments2, moments2
+        self.moments1, self.moments2 = moments1, moments2
         if not new_arrays:
             return scene
         return scene.with_updates(**new_arrays)

@@ -19,7 +19,7 @@ from splatrim.prune import (
     per_iteration_fraction,
     prune_mask,
 )
-from splatrim.render import RenderConfig, _prepare, rasterize, rasterize_backward
+from splatrim.render import RenderConfig, rasterize, rasterize_backward
 from splatrim.sceneio import PlySchemaError, ply_header_bytes, read_ply, write_ply
 from splatrim.train import evaluate, one_shot_prune, run_iterative_prune
 
@@ -198,39 +198,25 @@ def test_criterion_7_opacity_distribution_shift(desk):
 
 @pytest.mark.slow
 def test_criterion_8_throughput_scaling(desk):
-    # A render is a per-splat stage (projection, view-dependent colour, depth
-    # order) followed by compositing over the (splat, pixel) pairs inside each
-    # cutoff ellipse. Pruning shortens the per-splat stage in proportion to
-    # the splats it removes. The desk prune removes splats below the alpha
-    # skip, which emit no pairs, so the compositing work stays as it was and
-    # the whole render gains less than the per-splat stage.
     bench = desk["bench"]
     camera = bench.test_views[0][0]
-    config = RenderConfig()
 
-    def render(scene, camera, config):
-        rasterize(scene, camera, np.zeros(3), config)
-
-    def median_time(stage, scene):
+    def median_render_time(scene):
         times = []
         for _ in range(20):
             t0 = time.perf_counter()
-            stage(scene, camera, config)
+            rasterize(scene, camera, np.zeros(3))
             times.append(time.perf_counter() - t0)
         return float(np.median(times))
 
-    render(bench.baseline, camera, config)  # warm-up render
-    t_base = median_time(render, bench.baseline)
-    t_pruned = median_time(render, desk["pruned"])
-    s_base = median_time(_prepare, bench.baseline)
-    s_pruned = median_time(_prepare, desk["pruned"])
-    assert s_pruned <= 0.75 * s_base
-    assert t_pruned < t_base
+    rasterize(bench.baseline, camera, np.zeros(3))  # warm-up render
+    t_base = median_render_time(bench.baseline)
+    t_pruned = median_render_time(desk["pruned"])
+    assert t_pruned <= 0.75 * t_base
     report(
         8,
-        f"median per-splat stage {s_base * 1e3:.2f} ms -> {s_pruned * 1e3:.2f} ms "
-        f"({s_pruned / s_base:.2f}x); median render {t_base * 1e3:.1f} ms -> "
-        f"{t_pruned * 1e3:.1f} ms ({t_pruned / t_base:.2f}x)",
+        f"median render {t_base * 1e3:.1f} ms -> {t_pruned * 1e3:.1f} ms "
+        f"({t_pruned / t_base:.2f}x)",
     )
 
 

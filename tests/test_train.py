@@ -155,8 +155,8 @@ class TestOptimizerState:
                 np.testing.assert_array_equal(moments[name], saved[name])
 
     def test_sh_rates_match_a_full_rate_array(self):
-        # the broadcast (16, 1) rate gives bitwise the update of an (N, 16, 3)
-        # array holding the DC rate in band 0 and the rest rate elsewhere
+        # scaling band 0 by the DC rate and bands 1-15 by the rest rate gives
+        # bitwise the update of an (N, 16, 3) array holding those rates
         rng = np.random.default_rng(4)
         n = 7
         scene = GaussianSet(
