@@ -64,16 +64,6 @@ class RenderConfig:
         )
 
 
-@dataclass(frozen=True)
-class Projected2D:
-    """Screen-space projection of every Gaussian (struct of arrays)."""
-
-    mean2d: np.ndarray   # (N, 2) pixels
-    cov2d: np.ndarray    # (N, 2, 2) pixels^2, low-pass dilated
-    depth: np.ndarray    # (N,) camera-space z
-    visible: np.ndarray  # (N,) bool
-
-
 @dataclass
 class RenderOutput:
     image: np.ndarray                  # (H, W, 3) in [0, 1]
@@ -147,30 +137,13 @@ def accumulate_gradient_stats(
 # ---------------------------------------------------------------------------
 
 
-def project(
-    gaussians: GaussianSet,
-    camera: Camera,
-    config: RenderConfig | None = None,
-    identity_jacobian: bool = False,
-) -> Projected2D:
-    """Screen-space means, dilated 2D covariances, depths, and culling flags.
+class Projected2D(NamedTuple):
+    """Screen-space projection of every Gaussian (struct of arrays): the four
+    public fields, then the intermediates the backward chains through."""
 
-    ``identity_jacobian`` is a test hook replacing the perspective Jacobian
-    with [[1,0,0],[0,1,0]] in the covariance path only.
-    """
-    config = config or RenderConfig()
-    full = _project_full(gaussians, camera, config, identity_jacobian)
-    return Projected2D(
-        mean2d=full.mean2d, cov2d=full.cov2d, depth=full.depth, visible=full.visible
-    )
-
-
-class _Projection(NamedTuple):
-    """Full-length projection plus the intermediates the backward chains through."""
-
-    mean2d: np.ndarray   # (N, 2)
-    cov2d: np.ndarray    # (N, 2, 2)
-    depth: np.ndarray    # (N,)
+    mean2d: np.ndarray   # (N, 2) pixels
+    cov2d: np.ndarray    # (N, 2, 2) pixels^2, low-pass dilated
+    depth: np.ndarray    # (N,) camera-space z
     visible: np.ndarray  # (N,) bool
     det: np.ndarray      # (N,) det(cov2d)
     t_cam: np.ndarray    # (N, 3) camera-space position
@@ -180,14 +153,14 @@ class _Projection(NamedTuple):
     rot: np.ndarray      # (N, 3, 3)
     scales: np.ndarray   # (N, 3)
     q_hat: np.ndarray    # (N, 4) unit quaternion
+    q_norm: np.ndarray   # (N,) |q| of the stored quaternion, 1 where it is 0
 
 
-def _project_full(
-    gaussians: GaussianSet,
-    camera: Camera,
-    config: RenderConfig,
-    identity_jacobian: bool = False,
-) -> _Projection:
+def project(
+    gaussians: GaussianSet, camera: Camera, config: RenderConfig | None = None
+) -> Projected2D:
+    """Screen-space means, dilated 2D covariances, depths, and culling flags."""
+    config = config or RenderConfig()
     n = gaussians.count
     w2c = camera.world_to_camera
     rot_w2c = w2c[:3, :3]
@@ -206,21 +179,18 @@ def _project_full(
     # so gradients can chain through the normalization.
     q = gaussians.rotations.astype(np.float64)
     q_norm = np.linalg.norm(q, axis=1)
-    q_hat = q / np.where(q_norm > 0, q_norm, 1.0)[:, None]
+    q_norm = np.where(q_norm > 0, q_norm, 1.0)
+    q_hat = q / q_norm[:, None]
     rot = quaternion_to_rotation(q_hat)
     scales = np.exp(gaussians.log_scales.astype(np.float64))
     m_mat = rot * scales[:, None, :]
     sigma3 = m_mat @ np.swapaxes(m_mat, 1, 2)
 
     jac = np.zeros((n, 2, 3))
-    if identity_jacobian:
-        jac[:, 0, 0] = 1.0
-        jac[:, 1, 1] = 1.0
-    else:
-        jac[:, 0, 0] = camera.fx / safe_z
-        jac[:, 0, 2] = -camera.fx * t_cam[:, 0] / safe_z**2
-        jac[:, 1, 1] = camera.fy / safe_z
-        jac[:, 1, 2] = -camera.fy * t_cam[:, 1] / safe_z**2
+    jac[:, 0, 0] = camera.fx / safe_z
+    jac[:, 0, 2] = -camera.fx * t_cam[:, 0] / safe_z**2
+    jac[:, 1, 1] = camera.fy / safe_z
+    jac[:, 1, 2] = -camera.fy * t_cam[:, 1] / safe_z**2
 
     p_mat = jac @ rot_w2c  # (N, 2, 3)
     cov2d = p_mat @ sigma3 @ np.swapaxes(p_mat, 1, 2)
@@ -244,9 +214,9 @@ def _project_full(
     mean2d[~in_front] = 0.0
     cov2d[~in_front] = 0.0
 
-    return _Projection(
-        mean2d=mean2d, cov2d=cov2d, depth=z, visible=visible, det=det, t_cam=t_cam,
-        p_mat=p_mat, sigma3=sigma3, m_mat=m_mat, rot=rot, scales=scales, q_hat=q_hat,
+    return Projected2D(
+        mean2d, cov2d, z, visible, det, t_cam, p_mat, sigma3, m_mat, rot, scales, q_hat,
+        q_norm,
     )
 
 
@@ -256,63 +226,49 @@ class _Prepared:
 
     vis_idx: np.ndarray      # original indices of visible Gaussians
     front: np.ndarray        # visible rows front to back, by (depth, index)
-    mean2d: np.ndarray       # (V, 2)
-    cov2d: np.ndarray        # (V, 2, 2) dilated
+    proj: Projected2D        # the projection's visible rows
     conic: np.ndarray        # (V, 2, 2) inverse of dilated cov2d
     color: np.ndarray        # (V, 3) clamped SH color
     color_raw: np.ndarray    # (V, 3) before the clamp (for gradient gating)
     opacity: np.ndarray      # (V,)
-    view_dir: np.ndarray     # (V, 3) unnormalized (position - camera center)
-    dir_hat: np.ndarray      # (V, 3) unit view direction
+    dir_hat: np.ndarray      # (V, 3) unit view direction (position - camera center)
+    dir_len: np.ndarray      # (V,) its length before the normalization, 1 where 0
     basis: np.ndarray        # (V, 16)
-    # Projection intermediates the backward chain reads (see _Projection).
-    t_cam: np.ndarray
-    p_mat: np.ndarray
-    sigma3: np.ndarray
-    m_mat: np.ndarray
-    rot: np.ndarray
-    scales: np.ndarray
-    q_hat: np.ndarray
 
 
 def _prepare(gaussians: GaussianSet, camera: Camera, config: RenderConfig) -> _Prepared:
-    full = _project_full(gaussians, camera, config)
+    full = project(gaussians, camera, config)
     vis_idx = np.flatnonzero(full.visible)
-    cov2d = full.cov2d[vis_idx]
-    det = full.det[vis_idx]
+    dir_hat = gaussians.positions[vis_idx].astype(np.float64) - camera.center
+    dir_len = np.linalg.norm(dir_hat, axis=1)
+    dir_len = np.where(dir_len > 0, dir_len, 1.0)
+    dir_hat /= dir_len[:, None]
+    basis = sh_basis(dir_hat)
+    sh = gaussians.sh_coeffs[vis_idx].astype(np.float64)
+    color_raw = np.einsum("vk,vkc->vc", basis, sh) + 0.5
+    del sh
+    color = np.maximum(color_raw, 0.0)
+    opacity = activated_opacity(gaussians.opacity_logits[vis_idx].astype(np.float64))
+    # Gathered after the colour temporaries, and the all-row record freed at
+    # once, so the two never hold memory together.
+    proj = Projected2D._make(a[vis_idx] for a in full)
+    del full
+    cov2d, det = proj.cov2d, proj.det
     conic = np.empty_like(cov2d)
     conic[:, 0, 0] = cov2d[:, 1, 1] / det
     conic[:, 1, 1] = cov2d[:, 0, 0] / det
     conic[:, 0, 1] = conic[:, 1, 0] = -cov2d[:, 0, 1] / det
-
-    dir_raw = gaussians.positions[vis_idx].astype(np.float64) - camera.center
-    dir_len = np.linalg.norm(dir_raw, axis=1)
-    dir_hat = dir_raw / np.where(dir_len > 0, dir_len, 1.0)[:, None]
-    basis = sh_basis(dir_hat)
-    sh = gaussians.sh_coeffs[vis_idx].astype(np.float64)
-    color_raw = np.einsum("vk,vkc->vc", basis, sh) + 0.5
-    color = np.maximum(color_raw, 0.0)
-    opacity = activated_opacity(gaussians.opacity_logits[vis_idx].astype(np.float64))
-
     return _Prepared(
         vis_idx=vis_idx,
-        front=np.argsort(full.depth[vis_idx], kind="stable"),
-        mean2d=full.mean2d[vis_idx],
-        cov2d=cov2d,
+        front=np.argsort(proj.depth, kind="stable"),
+        proj=proj,
         conic=conic,
         color=color,
         color_raw=color_raw,
         opacity=np.atleast_1d(opacity),
-        view_dir=dir_raw,
         dir_hat=dir_hat,
+        dir_len=dir_len,
         basis=basis,
-        t_cam=full.t_cam[vis_idx],
-        p_mat=full.p_mat[vis_idx],
-        sigma3=full.sigma3[vis_idx],
-        m_mat=full.m_mat[vis_idx],
-        rot=full.rot[vis_idx],
-        scales=full.scales[vis_idx],
-        q_hat=full.q_hat[vis_idx],
     )
 
 
@@ -372,7 +328,7 @@ def _pair_chunks(
     # Per-row coefficients in depth order, which each pair gathers in one
     # ``take``: mean x and y, -a/2, b, -c/2, opacity and colour.
     coef = np.concatenate((
-        np.stack((prep.mean2d[:, 0], prep.mean2d[:, 1], -0.5 * prep.conic[:, 0, 0],
+        np.stack((prep.proj.mean2d[:, 0], prep.proj.mean2d[:, 1], -0.5 * prep.conic[:, 0, 0],
                   prep.conic[:, 0, 1], -0.5 * prep.conic[:, 1, 1], prep.opacity)),
         prep.color.T,
     )).take(prep.front, axis=1)
@@ -384,7 +340,7 @@ def _pair_chunks(
         # the ellipse to that (1e-6 wider, for rounding), dropping only zeros.
         reach = 2.0 * np.log(np.maximum(opacity / config.alpha_skip, 1e-300)) + 1e-6
         np.minimum(s2, reach, out=s2)
-    ry = np.sqrt(np.maximum(s2, 0.0) * np.maximum(prep.cov2d[:, 1, 1].take(prep.front), 0.0))
+    ry = np.sqrt(np.maximum(s2, 0.0) * np.maximum(prep.proj.cov2d[:, 1, 1].take(prep.front), 0.0))
     y0 = np.clip(np.ceil(my - ry), 0, h).astype(np.int64)
     ny = np.maximum(np.clip(np.floor(my + ry), -1, h - 1).astype(np.int64) - y0 + 1, 0)
     ny[s2 < 0.0] = 0
@@ -681,15 +637,16 @@ def _chain_to_parameters(
     conic = prep.conic
     d_cov2d = -conic @ d_conic @ conic
 
-    p_mat = prep.p_mat  # (V, 2, 3) = J @ W_rot
+    proj = prep.proj
+    p_mat = proj.p_mat  # (V, 2, 3) = J @ W_rot
     d_sigma3 = np.swapaxes(p_mat, 1, 2) @ d_cov2d @ p_mat
-    d_p = (d_cov2d + np.swapaxes(d_cov2d, 1, 2)) @ p_mat @ prep.sigma3
+    d_p = (d_cov2d + np.swapaxes(d_cov2d, 1, 2)) @ p_mat @ proj.sigma3
     rot_w2c = camera.world_to_camera[:3, :3]
     d_jac = (d_p.reshape(-1, 3) @ rot_w2c.T).reshape(d_p.shape)
 
     # Perspective chain: both the Jacobian entries and the projected mean
     # depend on the camera-space position t = (x, y, z).
-    x, y, z = prep.t_cam[:, 0], prep.t_cam[:, 1], prep.t_cam[:, 2]
+    x, y, z = proj.t_cam[:, 0], proj.t_cam[:, 1], proj.t_cam[:, 2]
     fx, fy = camera.fx, camera.fy
     inv_z = 1.0 / z
     inv_z2 = inv_z * inv_z
@@ -712,19 +669,18 @@ def _chain_to_parameters(
     d_sh = prep.basis[:, :, None] * d_col[:, None, :]
     sh = gaussians.sh_coeffs[vis].astype(np.float64)
     d_dir = _sh_direction_gradient(sh, prep.dir_hat, d_col)
-    d_pos += _normalize_vjp(prep.view_dir, d_dir)
+    d_pos += _normalize_vjp(prep.dir_hat, prep.dir_len, d_dir)
 
     # Opacity chain through the logistic.
     o = prep.opacity
     d_logit = o * (1.0 - o) * d_opacity
 
     # Covariance chain: Sigma3 = M M^T, M = R diag(s), s = exp(log_scales).
-    d_m = (d_sigma3 + np.swapaxes(d_sigma3, 1, 2)) @ prep.m_mat
-    d_log_scales = prep.scales * np.einsum("vrk,vrk->vk", prep.rot, d_m)
-    d_rot_mat = d_m * prep.scales[:, None, :]
-    d_qhat = _rotation_quaternion_vjp(prep.q_hat, d_rot_mat)
-    q = gaussians.rotations[vis].astype(np.float64)
-    d_q = _normalize_vjp(q, d_qhat)
+    d_m = (d_sigma3 + np.swapaxes(d_sigma3, 1, 2)) @ proj.m_mat
+    d_log_scales = proj.scales * np.einsum("vrk,vrk->vk", proj.rot, d_m)
+    d_rot_mat = d_m * proj.scales[:, None, :]
+    d_qhat = _rotation_quaternion_vjp(proj.q_hat, d_rot_mat)
+    d_q = _normalize_vjp(proj.q_hat, proj.q_norm, d_qhat)
 
     out.positions[vis] = d_pos
     out.rotations[vis] = d_q
@@ -734,12 +690,9 @@ def _chain_to_parameters(
     return out
 
 
-def _normalize_vjp(v: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
-    """Gradient through u = v / |v| given dL/du."""
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    norm = np.where(norm > 0, norm, 1.0)
-    unit = v / norm
-    return (d_unit - np.sum(d_unit * unit, axis=-1, keepdims=True) * unit) / norm
+def _normalize_vjp(unit: np.ndarray, norm: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
+    """Gradient through u = v / |v| given u, |v| (1 where 0) and dL/du."""
+    return (d_unit - np.sum(d_unit * unit, axis=-1, keepdims=True) * unit) / norm[:, None]
 
 
 def _sh_direction_gradient(

@@ -90,14 +90,15 @@ class TestProject:
         proj = project(g, camera_16())
         assert not proj.visible[0]
 
-    def test_identity_jacobian_hook(self):
-        # with identity W and J replaced by identity, cov2d is the top-left
-        # 2x2 block of the world covariance plus the low-pass term
+    def test_identity_jacobian_at_focal_depth(self):
+        # on the optical axis at z = fx = fy = 20 the perspective Jacobian is
+        # exactly [[1,0,0],[0,1,0]]; with identity W, cov2d is then the
+        # top-left 2x2 block of the world covariance plus the low-pass term
         rng = np.random.default_rng(8)
         q = normalize_quaternions(rng.normal(size=4)).astype(np.float32)
         s = rng.normal(-1, 0.3, 3).astype(np.float32)
         g = GaussianSet(
-            positions=np.array([[0, 0, 2.0]], np.float32),
+            positions=np.array([[0, 0, 20.0]], np.float32),
             rotations=q[None, :],
             log_scales=s[None, :],
             opacity_logits=np.zeros(1, np.float32),
@@ -106,7 +107,7 @@ class TestProject:
         from splatrim.core import covariance_from_rotation_scale
 
         sigma = covariance_from_rotation_scale(q, s)
-        proj = project(g, camera_16(), identity_jacobian=True)
+        proj = project(g, camera_16())
         np.testing.assert_allclose(
             proj.cov2d[0], sigma[:2, :2] + 0.3 * np.eye(2), atol=1e-6
         )
