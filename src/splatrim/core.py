@@ -125,6 +125,8 @@ class Camera:
             raise InvalidParameterError("world_to_camera rotation is not orthonormal")
         if self.width < 1 or self.height < 1:
             raise InvalidParameterError("image dimensions must be >= 1")
+        _require_finite("intrinsics", np.array([self.fx, self.fy, self.cx, self.cy]))
+        _require_finite("near_clip", np.array(self.near_clip))
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidParameterError("focal lengths must be positive")
         if self.near_clip <= 0:

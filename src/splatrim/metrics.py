@@ -174,11 +174,11 @@ def psnr(rendered: np.ndarray, target: np.ndarray) -> float:
 
 
 def model_size_bytes(gaussians) -> int:
-    """Serialized scene size: splat file header plus 248 bytes per Gaussian."""
-    from .sceneio import ply_header_bytes
+    """Serialized scene size: splat file header plus the bytes of each Gaussian."""
+    from .sceneio import BYTES_PER_VERTEX, ply_header_bytes
 
     n = gaussians.count if hasattr(gaussians, "count") else int(gaussians)
-    return len(ply_header_bytes(n)) + 248 * n
+    return len(ply_header_bytes(n)) + BYTES_PER_VERTEX * n
 
 
 def compression_ratio(baseline_bytes: float, pruned_bytes: float) -> float:

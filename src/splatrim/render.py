@@ -53,7 +53,7 @@ class RenderConfig:
     def __post_init__(self):
         if self.tile_size < 1:
             raise InvalidParameterError("tile_size must be >= 1")
-        if self.sigma_cutoff <= 0:
+        if not self.sigma_cutoff > 0:
             raise InvalidParameterError("sigma_cutoff must be positive")
 
     @staticmethod
@@ -200,16 +200,18 @@ def project(
     det = cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] ** 2
 
     # Cull: behind the near plane, degenerate footprint, or center further
-    # than 3 sigma outside the image bounds.
-    margin_x = 3.0 * np.sqrt(np.maximum(cov2d[:, 0, 0], 0.0))
-    margin_y = 3.0 * np.sqrt(np.maximum(cov2d[:, 1, 1], 0.0))
-    on_screen = (
-        (mean2d[:, 0] >= -margin_x)
-        & (mean2d[:, 0] <= camera.width - 1 + margin_x)
-        & (mean2d[:, 1] >= -margin_y)
-        & (mean2d[:, 1] <= camera.height - 1 + margin_y)
-    )
-    visible = in_front & on_screen & (det > 0)
+    # than sigma_cutoff sigmas outside the image bounds (never at an
+    # infinite cutoff, which would multiply inf by a zero variance).
+    visible = in_front & (det > 0)
+    if math.isfinite(config.sigma_cutoff):
+        margin_x = config.sigma_cutoff * np.sqrt(np.maximum(cov2d[:, 0, 0], 0.0))
+        margin_y = config.sigma_cutoff * np.sqrt(np.maximum(cov2d[:, 1, 1], 0.0))
+        visible &= (
+            (mean2d[:, 0] >= -margin_x)
+            & (mean2d[:, 0] <= camera.width - 1 + margin_x)
+            & (mean2d[:, 1] >= -margin_y)
+            & (mean2d[:, 1] <= camera.height - 1 + margin_y)
+        )
 
     mean2d[~in_front] = 0.0
     cov2d[~in_front] = 0.0

@@ -79,7 +79,7 @@ def write_ply(gaussians: GaussianSet, path) -> None:
     body[:, 58:62] = rotations
     with open(path, "wb") as f:
         f.write(ply_header_bytes(n))
-        f.write(body.tobytes())
+        f.write(body.data)
 
 
 def read_ply(path) -> GaussianSet:
@@ -134,20 +134,21 @@ def read_ply(path) -> GaussianSet:
             raise PlySchemaError(f"unexpected property {extra[0]!r}", offset)
         raise PlySchemaError("properties out of order", offset)
 
-    body = raw[body_offset:]
+    body_len = len(raw) - body_offset
     expected_len = count * BYTES_PER_VERTEX
-    if len(body) < expected_len:
+    if body_len < expected_len:
         raise PlyBodyError(
-            f"truncated body: {len(body)} bytes for {count} vertices",
-            body_offset + len(body),
+            f"truncated body: {body_len} bytes for {count} vertices", len(raw)
         )
-    if len(body) > expected_len:
+    if body_len > expected_len:
         raise PlyBodyError(
-            f"{len(body) - expected_len} trailing bytes after vertex data",
+            f"{body_len - expected_len} trailing bytes after vertex data",
             body_offset + expected_len,
         )
 
-    data = np.frombuffer(body, dtype="<f4").reshape(count, FLOATS_PER_VERTEX)
+    data = np.frombuffer(
+        raw, dtype="<f4", count=count * FLOATS_PER_VERTEX, offset=body_offset
+    ).reshape(count, FLOATS_PER_VERTEX)
     # One pass over the body; the unused normals alone do not fail the load.
     if not np.isfinite(data).all():
         bad = ~np.isfinite(data)
@@ -285,22 +286,34 @@ def read_manifest(path) -> list[ManifestEntry]:
         split = parts[23]
         if split not in ("train", "test"):
             raise DatasetError(f"{path}:{lineno}: split must be train or test")
+        values = [
+            _manifest_number(parts[i], int if i < 3 else float, f"{path}:{lineno}", name)
+            for i, name in enumerate(_MANIFEST_NUMBERS, 1)
+        ]
         entries.append(
             ManifestEntry(
-                image_path=parts[0],
-                width=int(parts[1]),
-                height=int(parts[2]),
-                fx=float(parts[3]),
-                fy=float(parts[4]),
-                cx=float(parts[5]),
-                cy=float(parts[6]),
-                world_to_camera=np.array(
-                    [float(v) for v in parts[7:23]], np.float64
-                ).reshape(4, 4),
+                parts[0], *values[:6],
+                world_to_camera=np.array(values[6:], np.float64).reshape(4, 4),
                 split=split,
             )
         )
     return entries
+
+
+_MANIFEST_NUMBERS = (
+    ["width", "height", "fx", "fy", "cx", "cy"] + [f"w2c[{i}]" for i in range(16)]
+)
+
+
+def _manifest_number(text: str, kind, where: str, name: str):
+    """One numeric manifest field, or a DatasetError naming its line and field."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
+        raise DatasetError(f"{where}: field {name} is not a finite {kind.__name__}: {text!r}")
+    return value
 
 
 def load_dataset(

@@ -308,6 +308,23 @@ class TestRender:
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, value", [(2, "x"), (3, "nan")])
+    def test_malformed_manifest_fails_cleanly(self, workspace, tmp_path, capsys, column, value):
+        scene, manifest = data_paths(workspace)
+        lines = manifest.read_text().splitlines()
+        parts = lines[1].split()
+        parts[column] = value
+        lines[1] = " ".join(parts)
+        bad = tmp_path / "bad_manifest.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(
+            ["render", "--scene", str(scene), "--manifest", str(bad),
+             "--out", str(tmp_path / "out"), "--view", "0"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad_manifest.txt:2" in err
+
     def test_empty_scene_renders_background(self, workspace, tmp_path):
         _, manifest = data_paths(workspace)
         from splatrim.core import GaussianSet

@@ -249,6 +249,11 @@ class TestCamera:
             {"width": 0},
             {"height": 0},
             {"near_clip": 0.0},
+            {"fx": math.nan},
+            {"fy": math.inf},
+            {"cx": math.inf},
+            {"cy": math.nan},
+            {"near_clip": math.nan},
         ],
     )
     def test_invalid_intrinsics_rejected(self, kwargs):

@@ -1,6 +1,7 @@
 """Scene serialization, image files, manifests, and synthetic data."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -297,6 +298,21 @@ class TestManifest:
         path = tmp_path / "manifest.txt"
         path.write_text("a.ppm 8 8\n")
         with pytest.raises(DatasetError, match="24 fields"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "column, value, field",
+        [(2, "x", "height"), (3, "nan", "fx"), (5, "inf", "cx"), (10, "1e999", "w2c[3]")],
+    )
+    def test_bad_number_names_line_and_field(self, tmp_path, column, value, field):
+        path = tmp_path / "manifest.txt"
+        write_manifest([self.entry("a.ppm"), self.entry("b.ppm")], path)
+        lines = path.read_text().splitlines()
+        parts = lines[2].split()
+        parts[column] = value
+        lines[2] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=re.escape(f"manifest.txt:3: field {field} ")):
             read_manifest(path)
 
     def test_order_stability(self, tmp_path):

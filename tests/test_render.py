@@ -336,6 +336,21 @@ class TestBruteForceOracle:
         out = rasterize(scene, cam, bg, RenderConfig.exact())
         np.testing.assert_allclose(out.image, brute_force_render(scene, cam, bg), atol=1e-12)
 
+    def test_splat_centred_off_screen_still_renders_under_exact(self):
+        # the centre sits at x = -5.5 px with sigma 1.53 px, more than three
+        # sigmas off-screen, yet its tail still reaches the left columns
+        scene = scene_from_rows(
+            [((-1.3, 0.0, 2.0), (1, 0.5, 0), opacity_logit(0.9), math.log(0.12))]
+        )
+        cam = camera_16()
+        bg = np.array([0.1, 0.2, 0.3])
+        proj = project(scene, cam, RenderConfig.exact())
+        assert proj.mean2d[0, 0] < -3.0 * math.sqrt(proj.cov2d[0, 0, 0])
+        out = rasterize(scene, cam, bg, RenderConfig.exact())
+        oracle = brute_force_render(scene, cam, bg)
+        assert np.abs(oracle - bg).max() > 1e-4
+        np.testing.assert_allclose(out.image, oracle, atol=1e-12)
+
     def test_thousands_of_stacked_splats_on_one_pixel(self):
         # every pixel holds all 3,000 pairs, so its transmittance is one
         # 3,000-long product; faint splats keep every one of them visible
@@ -448,6 +463,11 @@ class TestPairs:
     def test_invalid_tile_size_still_rejected(self):
         with pytest.raises(InvalidParameterError):
             RenderConfig(tile_size=0)
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, math.nan])
+    def test_non_positive_or_nan_sigma_cutoff_rejected(self, cutoff):
+        with pytest.raises(InvalidParameterError):
+            RenderConfig(sigma_cutoff=cutoff)
 
 
 GRAD_FIELDS = ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs")
