@@ -1,15 +1,17 @@
 """Differentiable CPU splat rasterizer.
 
-Forward: project each 3D Gaussian to an image-plane ellipse (mean, 2x2
-covariance via the perspective Jacobian) and alpha-composite front to back
-over (splat, pixel) pairs, built and composited in chunks of whole pixel
-rows. A splat reaches a pixel if and only if the pixel centre lies inside its
-cutoff ellipse, where ``-d^T conic d / 2 >= -sigma_cutoff**2 / 2`` (every
-pixel under ``RenderConfig.exact()``); ``RenderConfig.tile_size`` affects
-nothing. Rendered with ``for_backward``, the output keeps each chunk's pair
-state. Backward: from that state (or the chunk built once more), reversed
-per-pixel scans give the suffix sums and per-splat sums over the pairs chain
-the pixel gradients back to every stored parameter.
+Forward: ``project`` maps each 3D Gaussian to an image-plane ellipse (mean,
+2x2 covariance via the perspective Jacobian) in one ``Projected2D`` record,
+which also holds the intermediates the backward chains through; the render
+keeps its visible rows and alpha-composites them front to back over (splat,
+pixel) pairs, built and composited in chunks of whole pixel rows. A splat
+reaches a pixel if and only if the pixel centre lies inside its cutoff
+ellipse, where ``-d^T conic d / 2 >= -sigma_cutoff**2 / 2`` (every pixel
+under ``RenderConfig.exact()``); ``RenderConfig.tile_size`` affects nothing.
+Rendered with ``for_backward``, the output keeps each chunk's pair state.
+Backward: from that state (or the chunk built once more), reversed per-pixel
+scans give the suffix sums and per-splat sums over the pairs chain the pixel
+gradients back to every stored parameter, through the kept projection rows.
 
 All screen-space math runs in float64 regardless of the float32 storage so
 analytic gradients match central finite differences tightly.

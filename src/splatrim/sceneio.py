@@ -275,6 +275,7 @@ def write_manifest(entries: list[ManifestEntry], path) -> None:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
+    numbers = ["width", "height", "fx", "fy", "cx", "cy"] + [f"w2c[{i}]" for i in range(16)]
     entries = []
     for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         line = line.strip()
@@ -288,7 +289,7 @@ def read_manifest(path) -> list[ManifestEntry]:
             raise DatasetError(f"{path}:{lineno}: split must be train or test")
         values = [
             _manifest_number(parts[i], int if i < 3 else float, f"{path}:{lineno}", name)
-            for i, name in enumerate(_MANIFEST_NUMBERS, 1)
+            for i, name in enumerate(numbers, 1)
         ]
         entries.append(
             ManifestEntry(
@@ -298,11 +299,6 @@ def read_manifest(path) -> list[ManifestEntry]:
             )
         )
     return entries
-
-
-_MANIFEST_NUMBERS = (
-    ["width", "height", "fx", "fy", "cx", "cy"] + [f"w2c[{i}]" for i in range(16)]
-)
 
 
 def _manifest_number(text: str, kind, where: str, name: str):

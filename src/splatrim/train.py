@@ -338,7 +338,7 @@ def score_pass(
         out = rasterize(scene, camera, BACKGROUND, render_cfg, for_backward=True)
         _, d_image = training_loss(out.image, target, loss_cfg)
         _, norms = rasterize_backward(scene, camera, out, d_image)
-        del out  # free this view's kept tile state before the next view renders
+        del out  # free this view's kept pair state before the next view renders
         stats = accumulate_gradient_stats(stats, norms)
     return stats
 
