@@ -21,7 +21,9 @@ from .errors import SplatError
 from .metrics import LossConfig, compression_ratio, model_size_bytes
 from .prune import PruneCriterion, PruneSchedule
 from .render import rasterize
-from .sceneio import load_dataset, make_synthetic, read_ply, write_ply, write_ppm
+from .sceneio import (
+    atomic_write, load_dataset, make_synthetic, read_ply, write_ply, write_ppm,
+)
 from .train import (
     BACKGROUND,
     OptimizerConfig,
@@ -67,7 +69,7 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path, fieldnames, rows) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, text=True, newline="") as f:
         writer = csv.DictWriter(f, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:

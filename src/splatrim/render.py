@@ -601,14 +601,8 @@ def rasterize_backward(
     # -opacity / 2 * [[sum dx^2, sum dx dy], [sum dx dy, sum dy^2]].
     o = prep.opacity[:, None]
     d_mean2d = o * np.einsum("vij,vj->vi", prep.conic, acc[4:6].T)
-    d_conic = np.empty_like(prep.conic)
-    d_conic[:, 0, 0] = acc[6]
-    d_conic[:, 0, 1] = d_conic[:, 1, 0] = acc[7]
-    d_conic[:, 1, 1] = acc[8]
-    d_conic *= -0.5 * o[:, None]
-    grads = _chain_to_parameters(
-        gaussians, camera, prep, acc[:3].T, acc[3], d_mean2d, d_conic
-    )
+    d_conic = acc[6:9] * (-0.5 * prep.opacity)
+    grads = _chain_to_parameters(gaussians, camera, prep, acc[:3], acc[3], d_mean2d, d_conic)
     norms = np.zeros(gaussians.count)
     norms[prep.vis_idx] = np.linalg.norm(d_mean2d, axis=1)
     return grads, norms
@@ -632,146 +626,149 @@ def _chain_to_parameters(
     d_mean2d: np.ndarray,
     d_conic: np.ndarray,
 ) -> ParamGradients:
-    out = ParamGradients.zeros(gaussians.count)
-    vis = prep.vis_idx
+    """Chain the per-row gradients to the stored parameters.
+
+    ``d_color`` is (3, V), ``d_opacity`` (V,), ``d_mean2d`` (V, 2), and
+    ``d_conic`` (3, V) holds dL/d of the conic entries (0, 0), (0, 1) (each
+    of the two off-diagonal entries) and (1, 1). The small matrix products
+    are written out by component, each over the (V,) row of an entry:
+    batched matmuls on 2x2 and 3x3 matrices pay a call per matrix.
+    """
+    n, vis = gaussians.count, prep.vis_idx
     if vis.size == 0:
-        return out
-
-    # conic = inv(cov2d): dL/dCov = -conic @ dL/dConic @ conic
-    conic = prep.conic
-    d_cov2d = -conic @ d_conic @ conic
-
+        return ParamGradients.zeros(n)
     proj = prep.proj
-    p_mat = proj.p_mat  # (V, 2, 3) = J @ W_rot
-    d_sigma3 = np.swapaxes(p_mat, 1, 2) @ d_cov2d @ p_mat
-    d_p = (d_cov2d + np.swapaxes(d_cov2d, 1, 2)) @ p_mat @ proj.sigma3
+    # [i, j] is the (V,) row of entry (i, j), contiguous
+    p_mat = np.ascontiguousarray(proj.p_mat.transpose(1, 2, 0))  # (2, 3, V)
+    rot = np.ascontiguousarray(proj.rot.transpose(1, 2, 0))      # (3, 3, V)
+
+    # conic C = inv(cov2d), so D = dL/dcov2d = -C G C with G = d_conic.
+    a, b, c = prep.conic[:, 0, 0], prep.conic[:, 0, 1], prep.conic[:, 1, 1]
+    g00, g01, g11 = -d_conic
+    cg0, cg1 = a * g00 + b * g01, a * g01 + b * g11  # first row of -C G
+    d00, d01 = a * cg0 + b * cg1, b * cg0 + c * cg1
+    d11 = b * (b * g00 + c * g01) + c * (b * g01 + c * g11)
+
+    # cov2d = P Sigma3 P^T with P = J W and Sigma3 = R L R^T, L = diag(s^2).
+    # With Z = P R, dL/dSigma3 = R (Z^T D Z) R^T and dL/dP = 2 D Z L R^T.
+    pr = p_mat[:, 0, None] * rot[0] + p_mat[:, 1, None] * rot[1] + p_mat[:, 2, None] * rot[2]
+    dz = np.stack((d00 * pr[0] + d01 * pr[1], d01 * pr[0] + d11 * pr[1]))  # D Z, (2, 3, V)
+    lam2 = proj.scales.T ** 2
+    lam2 *= 2.0
+    dzl = dz * lam2
+    d_p = dzl[:, 0, None] * rot[:, 0] + dzl[:, 1, None] * rot[:, 1] + dzl[:, 2, None] * rot[:, 2]
     rot_w2c = camera.world_to_camera[:3, :3]
-    d_jac = (d_p.reshape(-1, 3) @ rot_w2c.T).reshape(d_p.shape)
+    d_jac = np.matmul(rot_w2c, d_p)  # (2, 3, V): dL/dJ = dL/dP W^T
 
-    # Perspective chain: both the Jacobian entries and the projected mean
-    # depend on the camera-space position t = (x, y, z).
-    x, y, z = proj.t_cam[:, 0], proj.t_cam[:, 1], proj.t_cam[:, 2]
-    fx, fy = camera.fx, camera.fy
+    # Perspective chain: J = [[fx/z, 0, -fx x/z^2], [0, fy/z, -fy y/z^2]] and
+    # the mean (fx x/z + cx, fy y/z + cy) both depend on t = (x, y, z).
+    x, y, z = proj.t_cam.T
     inv_z = 1.0 / z
-    inv_z2 = inv_z * inv_z
-    d_t = np.zeros((vis.size, 3))
-    d_t[:, 0] = d_jac[:, 0, 2] * (-fx * inv_z2) + d_mean2d[:, 0] * fx * inv_z
-    d_t[:, 1] = d_jac[:, 1, 2] * (-fy * inv_z2) + d_mean2d[:, 1] * fy * inv_z
-    d_t[:, 2] = (
-        d_jac[:, 0, 0] * (-fx * inv_z2)
-        + d_jac[:, 1, 1] * (-fy * inv_z2)
-        + d_jac[:, 0, 2] * (2 * fx * x * inv_z2 * inv_z)
-        + d_jac[:, 1, 2] * (2 * fy * y * inv_z2 * inv_z)
-        - d_mean2d[:, 0] * fx * x * inv_z2
-        - d_mean2d[:, 1] * fy * y * inv_z2
-    )
-    d_pos = d_t @ rot_w2c  # R^T d_t, rows of rot_w2c are camera axes
+    fx_z, fy_z = camera.fx * inv_z, camera.fy * inv_z
+    q0, q1 = d_jac[0, 2] * inv_z, d_jac[1, 2] * inv_z
+    dm0, dm1 = d_mean2d[:, 0], d_mean2d[:, 1]
+    d_t = np.stack((
+        fx_z * (dm0 - q0),
+        fy_z * (dm1 - q1),
+        -inv_z * (
+            fx_z * (d_jac[0, 0] + x * (dm0 - 2.0 * q0))
+            + fy_z * (d_jac[1, 1] + y * (dm1 - 2.0 * q1))
+        ),
+    ))
+    d_pos = rot_w2c.T @ d_t  # (3, V): R^T d_t, rows of rot_w2c are camera axes
 
-    # Color chain: clamp gate, SH coefficients, and view direction.
-    gate = prep.color_raw > 0.0
-    d_col = np.where(gate, d_color, 0.0)
-    d_sh = prep.basis[:, :, None] * d_col[:, None, :]
-    sh = gaussians.sh_coeffs[vis].astype(np.float64)
-    d_dir = _sh_direction_gradient(sh, prep.dir_hat, d_col)
-    d_pos += _normalize_vjp(prep.dir_hat, prep.dir_len, d_dir)
+    # Color chain: clamp gate, SH coefficients, and view direction through
+    # its normalization.
+    d_col = np.where(prep.color_raw > 0.0, d_color.T, 0.0)  # (V, 3)
+    d_dir = _sh_direction_gradient(gaussians.sh_coeffs[vis], prep.dir_hat, d_col)
+    dir_hat = prep.dir_hat.T
+    d_dir -= (d_dir * dir_hat).sum(axis=0) * dir_hat
+    d_dir /= prep.dir_len
+    d_pos += d_dir
 
     # Opacity chain through the logistic.
     o = prep.opacity
     d_logit = o * (1.0 - o) * d_opacity
 
-    # Covariance chain: Sigma3 = M M^T, M = R diag(s), s = exp(log_scales).
-    d_m = (d_sigma3 + np.swapaxes(d_sigma3, 1, 2)) @ proj.m_mat
-    d_log_scales = proj.scales * np.einsum("vrk,vrk->vk", proj.rot, d_m)
-    d_rot_mat = d_m * proj.scales[:, None, :]
-    d_qhat = _rotation_quaternion_vjp(proj.q_hat, d_rot_mat)
-    d_q = _normalize_vjp(proj.q_hat, proj.q_norm, d_qhat)
+    # Scales and rotation, in the splat's frame: S = Z^T D Z. Scaling axis k
+    # gives dL/dlog s_k = 2 s_k^2 S_kk; rotating the splat to R (I + [w]x)
+    # gives dL/dw = 2 ((l_y - l_z) S_yz, (l_z - l_x) S_xz, (l_x - l_y) S_xy),
+    # and the unit quaternion moves by q (0, w) / 2, orthogonally to q, so the
+    # stored one gets dL/dq = 2 q (0, dL/dw) / |q|.
+    d_log_scales = lam2 * (pr[0] * dz[0] + pr[1] * dz[1])
+    s_yz = pr[0, 1] * dz[0, 2] + pr[1, 1] * dz[1, 2]
+    s_xz = pr[0, 0] * dz[0, 2] + pr[1, 0] * dz[1, 2]
+    s_xy = pr[0, 0] * dz[0, 1] + pr[1, 0] * dz[1, 1]
+    inv_norm2 = 2.0 / proj.q_norm
+    gx = (lam2[1] - lam2[2]) * s_yz * inv_norm2
+    gy = (lam2[2] - lam2[0]) * s_xz * inv_norm2
+    gz = (lam2[0] - lam2[1]) * s_xy * inv_norm2
+    qw, qx, qy, qz = proj.q_hat.T
+    d_q = np.stack((
+        -(qx * gx + qy * gy + qz * gz),
+        qw * gx + qy * gz - qz * gy,
+        qw * gy + qz * gx - qx * gz,
+        qw * gz + qx * gy - qy * gx,
+    ))
 
-    out.positions[vis] = d_pos
-    out.rotations[vis] = d_q
-    out.log_scales[vis] = d_log_scales
-    out.opacity_logits[vis] = d_logit
-    out.sh_coeffs[vis] = d_sh
-    return out
+    # dL/dSH = basis (x) gated d_color, both factors scattered to every row:
+    # culled rows are 0 * 0.
+    basis, col = _rows(n, vis, prep.basis), _rows(n, vis, d_col)
+    d_sh = np.empty((n, SH_COEFFS, 3))
+    for k in range(3):
+        np.multiply(basis, col[:, k, None], out=d_sh[:, :, k])
+    return ParamGradients(
+        positions=_rows(n, vis, d_pos.T),
+        rotations=_rows(n, vis, d_q.T),
+        log_scales=_rows(n, vis, d_log_scales.T),
+        opacity_logits=_rows(n, vis, d_logit),
+        sh_coeffs=d_sh,
+    )
 
 
-def _normalize_vjp(unit: np.ndarray, norm: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
-    """Gradient through u = v / |v| given u, |v| (1 where 0) and dL/du."""
-    return (d_unit - np.sum(d_unit * unit, axis=-1, keepdims=True) * unit) / norm[:, None]
+def _rows(n: int, vis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``n`` rows of zeros with ``values`` at rows ``vis``."""
+    full = np.zeros((n,) + values.shape[1:])
+    full[vis] = values
+    return full
 
 
 def _sh_direction_gradient(
     coeffs: np.ndarray, dir_hat: np.ndarray, d_color: np.ndarray
 ) -> np.ndarray:
-    """dL/d(unit direction) for the degree-3 SH color evaluation at ``dir_hat``."""
-    db = _sh_basis_jacobian(dir_hat)
-    # dL/ddir_k = sum_{l,c} d_color_c * coeffs_{l,c} * db_{l,k}, contracted
-    # over c first: one three-operand einsum is about 14x slower.
-    return np.einsum("vlk,vl->vk", db, np.einsum("vlc,vc->vl", coeffs, d_color))
+    """dL/d(unit direction), (3, V), of the degree-3 SH color at ``dir_hat``
+    (V, 3), for coefficients (V, 16, 3) of any float dtype and d_color (V, 3).
 
-
-def _sh_basis_jacobian(d: np.ndarray) -> np.ndarray:
-    """d basis_l / d (x, y, z) of ``sh_basis`` at directions ``d``; (V, 16, 3)."""
-    x, y, z = d[:, 0], d[:, 1], d[:, 2]
-
-    # Entries written one by one into a zeroed array; the zero entries stay.
-    db = np.zeros(d.shape[:1] + (SH_COEFFS, 3))
-    db[:, 1, 1] = -SH_C1
-    db[:, 2, 2] = SH_C1
-    db[:, 3, 0] = -SH_C1
-    db[:, 4, 0] = SH_C2[0] * y
-    db[:, 4, 1] = SH_C2[0] * x
-    db[:, 5, 1] = SH_C2[1] * z
-    db[:, 5, 2] = SH_C2[1] * y
-    db[:, 6, 0] = SH_C2[2] * (-2 * x)
-    db[:, 6, 1] = SH_C2[2] * (-2 * y)
-    db[:, 6, 2] = SH_C2[2] * (4 * z)
-    db[:, 7, 0] = SH_C2[3] * z
-    db[:, 7, 2] = SH_C2[3] * x
-    db[:, 8, 0] = SH_C2[4] * (2 * x)
-    db[:, 8, 1] = SH_C2[4] * (-2 * y)
-    db[:, 9, 0] = SH_C3[0] * (6 * x * y)
-    db[:, 9, 1] = SH_C3[0] * (3 * x * x - 3 * y * y)
-    db[:, 10, 0] = SH_C3[1] * (y * z)
-    db[:, 10, 1] = SH_C3[1] * (x * z)
-    db[:, 10, 2] = SH_C3[1] * (x * y)
-    db[:, 11, 0] = SH_C3[2] * (-2 * x * y)
-    db[:, 11, 1] = SH_C3[2] * (4 * z * z - x * x - 3 * y * y)
-    db[:, 11, 2] = SH_C3[2] * (8 * y * z)
-    db[:, 12, 0] = SH_C3[3] * (-6 * x * z)
-    db[:, 12, 1] = SH_C3[3] * (-6 * y * z)
-    db[:, 12, 2] = SH_C3[3] * (6 * z * z - 3 * x * x - 3 * y * y)
-    db[:, 13, 0] = SH_C3[4] * (4 * z * z - 3 * x * x - y * y)
-    db[:, 13, 1] = SH_C3[4] * (-2 * x * y)
-    db[:, 13, 2] = SH_C3[4] * (8 * x * z)
-    db[:, 14, 0] = SH_C3[5] * (2 * x * z)
-    db[:, 14, 1] = SH_C3[5] * (-2 * y * z)
-    db[:, 14, 2] = SH_C3[5] * (x * x - y * y)
-    db[:, 15, 0] = SH_C3[6] * (3 * x * x - 3 * y * y)
-    db[:, 15, 1] = SH_C3[6] * (-6 * x * y)
-    return db
-
-
-def _rotation_quaternion_vjp(q_hat: np.ndarray, d_rot: np.ndarray) -> np.ndarray:
-    """dL/d(unit quaternion) given dL/dR for R built by quaternion_to_rotation."""
-    w, x, y, z = q_hat[:, 0], q_hat[:, 1], q_hat[:, 2], q_hat[:, 3]
-    g = d_rot  # (V, 3, 3)
-    d_w = 2 * (
-        -z * g[:, 0, 1] + y * g[:, 0, 2] + z * g[:, 1, 0]
-        - x * g[:, 1, 2] - y * g[:, 2, 0] + x * g[:, 2, 1]
+    The coefficients are contracted with d_color into one weight per basis
+    function; each weight then multiplies the nonzero partial derivatives of
+    ``sh_basis``, summed per monomial of the direction."""
+    w = coeffs[:, :, 0].T * d_color[:, 0]  # (16, V)
+    w += coeffs[:, :, 1].T * d_color[:, 1]
+    w += coeffs[:, :, 2].T * d_color[:, 2]
+    x, y, z = dir_hat.T
+    xx, yy, zz, xy, yz, xz = x * x, y * y, z * z, x * y, y * z, x * z
+    xx_yy = xx - yy
+    # band 1: -C1 y, C1 z, -C1 x
+    g = np.stack((-SH_C1 * w[3], -SH_C1 * w[1], SH_C1 * w[2]))
+    # band 2: xy, yz, 2zz - xx - yy, xz, xx - yy
+    w4, w5, w7 = SH_C2[0] * w[4], SH_C2[1] * w[5], SH_C2[3] * w[7]
+    w6, w8 = (2.0 * SH_C2[2]) * w[6], (2.0 * SH_C2[4]) * w[8]
+    g[0] += x * (w8 - w6) + y * w4 + z * w7
+    g[1] += x * w4 - y * (w6 + w8) + z * w5
+    g[2] += x * w7 + y * w5 + z * (2.0 * w6)
+    # band 3: y (3xx - yy), xyz, y (4zz - xx - yy), z (2zz - 3xx - 3yy),
+    # x (4zz - xx - yy), z (xx - yy), x (xx - 3yy)
+    w9, w10, w11, w12, w13, w14, w15 = (k * w[9 + i] for i, k in enumerate(SH_C3))
+    g[0] += (
+        xy * (6.0 * w9 - 2.0 * w11) + yz * w10 + xz * (2.0 * w14 - 6.0 * w12)
+        + (3.0 * xx_yy) * w15 + (4.0 * zz - 3.0 * xx - yy) * w13
     )
-    d_x = 2 * (
-        y * g[:, 0, 1] + z * g[:, 0, 2] + y * g[:, 1, 0]
-        - 2 * x * g[:, 1, 1] - w * g[:, 1, 2] + z * g[:, 2, 0]
-        + w * g[:, 2, 1] - 2 * x * g[:, 2, 2]
+    g[1] += (
+        (3.0 * xx_yy) * w9 + xz * w10 + (4.0 * zz - xx - 3.0 * yy) * w11
+        - yz * (6.0 * w12 + 2.0 * w14) - xy * (2.0 * w13 + 6.0 * w15)
     )
-    d_y = 2 * (
-        -2 * y * g[:, 0, 0] + x * g[:, 0, 1] + w * g[:, 0, 2]
-        + x * g[:, 1, 0] + z * g[:, 1, 2] - w * g[:, 2, 0]
-        + z * g[:, 2, 1] - 2 * y * g[:, 2, 2]
+    g[2] += (
+        xy * w10 + yz * (8.0 * w11) + xz * (8.0 * w13)
+        + (6.0 * zz - 3.0 * xx - 3.0 * yy) * w12 + xx_yy * w14
     )
-    d_z = 2 * (
-        -2 * z * g[:, 0, 0] - w * g[:, 0, 1] + x * g[:, 0, 2]
-        + w * g[:, 1, 0] - 2 * z * g[:, 1, 1] + y * g[:, 1, 2]
-        + x * g[:, 2, 0] + y * g[:, 2, 1]
-    )
-    return np.stack([d_w, d_x, d_y, d_z], axis=1)
+    return g

@@ -10,6 +10,8 @@ manifest: one view per line, `#` comments, a trailing train|test flag.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +53,22 @@ class PlyBodyError(PlyError):
     """The binary body does not hold exactly the declared vertices."""
 
 
+@contextmanager
+def atomic_write(path, text: bool = False, **kwargs):
+    """Open a new file beside ``path`` for writing, and put it in place of
+    ``path`` with one ``os.replace`` once the block completes. If the block
+    raises, the new file is removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x" if text else "xb", **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def ply_header_bytes(count: int) -> bytes:
     lines = ["ply", "format binary_little_endian 1.0", f"element vertex {count}"]
     lines += [f"property float {name}" for name in PLY_PROPERTIES]
@@ -77,7 +95,7 @@ def write_ply(gaussians: GaussianSet, path) -> None:
         else gaussians.rotations
     )
     body[:, 58:62] = rotations
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(ply_header_bytes(n))
         f.write(body.data)
 
@@ -190,7 +208,7 @@ def write_ppm(image: np.ndarray, path) -> None:
     if data.ndim != 3 or data.shape[2] != 3:
         raise InvalidParameterError("PPM image must be HxWx3")
     h, w = data.shape[:2]
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(data.tobytes())
 
@@ -271,13 +289,20 @@ def write_manifest(entries: list[ManifestEntry], path) -> None:
             f"{e.image_path} {e.width} {e.height} {e.fx!r} {e.fy!r} "
             f"{e.cx!r} {e.cy!r} {w2c} {e.split}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with atomic_write(path, text=True, encoding="ascii") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def read_manifest(path) -> list[ManifestEntry]:
     numbers = ["width", "height", "fx", "fy", "cx", "cy"] + [f"w2c[{i}]" for i in range(16)]
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as err:
+        lineno = raw.count(b"\n", 0, err.start) + 1
+        raise DatasetError(f"{path}:{lineno}: byte {raw[err.start]:#04x} is not ASCII") from None
     entries = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Camera, GaussianSet, normalize_quaternions
+from .core import SH_COEFFS, Camera, GaussianSet, normalize_quaternions
 from .errors import DivergedRunError, EmptySceneError, InvalidParameterError
 from .metrics import LossConfig, psnr, training_loss
 from .prune import (
@@ -64,6 +64,11 @@ class OptimizerState:
     step_count: int = 0
     moments1: dict = field(default_factory=dict)
     moments2: dict = field(default_factory=dict)
+    # Per group, four float64 arrays of its shape that a step computes into:
+    # the next first and second moments (swapped with the current ones once
+    # the step succeeds), the update and a scratch array. Allocated at the
+    # first step on a scene size; ``filter`` starts without them.
+    _work: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def create(scene: GaussianSet, config: OptimizerConfig, total_steps: int) -> "OptimizerState":
@@ -83,8 +88,10 @@ class OptimizerState:
         frac = min(step / self.total_steps, 1.0)
         return cfg.position_lr_init * (cfg.position_lr_final / cfg.position_lr_init) ** frac
 
-    def _group_lr(self, name: str, step: int) -> float:
-        """Learning rate of every group but the SH coefficients."""
+    def _group_lr(self, name: str, step: int) -> float | np.ndarray:
+        """Learning rate of a group; for the SH coefficients, one per band and
+        colour as a (16, 3) array: the DC band at its own rate, higher bands
+        slower."""
         cfg = self.config
         if name == "positions":
             return self.position_lr(step)
@@ -92,6 +99,10 @@ class OptimizerState:
             return cfg.rotation_lr
         if name == "log_scales":
             return cfg.scale_lr
+        if name == "sh_coeffs":
+            rate = np.full((SH_COEFFS, 3), cfg.sh_rest_lr)
+            rate[0] = cfg.sh_dc_lr
+            return rate
         return cfg.opacity_lr
 
     def step(self, scene: GaussianSet, grads) -> GaussianSet:
@@ -107,34 +118,41 @@ class OptimizerState:
         cfg = self.config
         bias1 = 1.0 - cfg.beta1**step
         bias2 = 1.0 - cfg.beta2**step
-        moments1, moments2, new_arrays = {}, {}, {}
+        new_arrays = {}
         for name in _GROUPS:
             grad = getattr(grads, name)
-            m = self.moments1[name] * cfg.beta1
-            m += (1.0 - cfg.beta1) * grad
-            v = self.moments2[name] * cfg.beta2
-            v += (1.0 - cfg.beta2) * grad * grad
-            moments1[name], moments2[name] = m, v
-            delta = m / bias1
-            if name == "sh_coeffs":
-                # DC band at its own rate, higher bands slower: two scalar
-                # products, several times faster than a broadcast rate array
-                delta[:, :1] *= cfg.sh_dc_lr
-                delta[:, 1:] *= cfg.sh_rest_lr
-            else:
-                delta *= self._group_lr(name, step)
-            delta /= np.sqrt(v / bias2) + cfg.eps
+            work = self._work.get(name)
+            if work is None or work[0].shape != grad.shape:
+                work = self._work[name] = [np.empty(grad.shape) for _ in range(4)]
+            m, v, delta, tmp = work
+            np.multiply(self.moments1[name], cfg.beta1, out=m)
+            m += np.multiply(grad, 1.0 - cfg.beta1, out=tmp)
+            np.multiply(self.moments2[name], cfg.beta2, out=v)
+            np.multiply(grad, 1.0 - cfg.beta2, out=tmp)
+            tmp *= grad
+            v += tmp
+            np.divide(m, bias1, out=delta)
+            delta *= self._group_lr(name, step)
+            np.divide(v, bias2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += cfg.eps
+            delta /= tmp
             if not np.any(delta):
                 continue
-            updated = getattr(scene, name).astype(np.float64) - delta
+            param = getattr(scene, name)
             if name == "rotations":
-                updated = normalize_quaternions(updated)
-            updated = updated.astype(np.float32)
+                updated = normalize_quaternions(np.subtract(param, delta, out=tmp))
+                updated = updated.astype(np.float32)
+            else:
+                # float64 arithmetic, rounded once to float32 on the way out
+                updated = np.subtract(param, delta, out=np.empty_like(param))
             if not np.isfinite(updated).all():
                 raise DivergedRunError(step, f"non-finite {name} update at iteration {step}")
             new_arrays[name] = updated
         self.step_count = step
-        self.moments1, self.moments2 = moments1, moments2
+        for name, work in self._work.items():
+            self.moments1[name], work[0] = work[0], self.moments1[name]
+            self.moments2[name], work[1] = work[1], self.moments2[name]
         if not new_arrays:
             return scene
         return scene.with_updates(**new_arrays)

@@ -16,6 +16,12 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def read_rows(path):
+    """The rows of a CSV file, read with the file closed again."""
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A small synthetic dataset shared by the command tests."""
@@ -88,10 +94,10 @@ class TestTrim:
         )
         assert rc == 0
         assert read_ply(out).count == 60
-        rows = list(csv.DictReader(report.open()))
+        rows = read_rows(report)
         assert len(rows) == 1
         assert rows[0]["removed"] == "60"
-        hist_rows = list(csv.DictReader(history.open()))
+        hist_rows = read_rows(history)
         assert len(hist_rows) == 3
 
     def test_inputs_not_mutated(self, workspace, tmp_path):
@@ -352,7 +358,7 @@ class TestEval:
         assert rc == 0
         stdout = capsys.readouterr().out
         assert "psnr inf" in stdout
-        row = next(csv.DictReader(out_csv.open()))
+        row = read_rows(out_csv)[0]
         assert row["psnr"] == "inf"
         assert float(row["compression"]) == 1.0
 
@@ -371,7 +377,7 @@ class TestEval:
              "--manifest", str(manifest), "--csv", str(out_csv)]
         )
         assert rc == 0
-        row = next(csv.DictReader(out_csv.open()))
+        row = read_rows(out_csv)[0]
         assert float(row["compression"]) > 1.5
 
 
@@ -393,7 +399,7 @@ class TestStats:
         out_csv = tmp_path / "stats.csv"
         rc = main(["stats", "--scene", str(ply), "--csv", str(out_csv)])
         assert rc == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = read_rows(out_csv)
         assert len(rows) == 50
         occupied = [r for r in rows if int(r["scene"]) > 0]
         assert len(occupied) == 1
@@ -407,7 +413,7 @@ class TestStats:
              "--csv", str(out_csv)]
         )
         assert rc == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = read_rows(out_csv)
         assert set(rows[0].keys()) == {"bin_lo", "bin_hi", "scene", "compare"}
         assert [r["scene"] for r in rows] == [r["compare"] for r in rows]
 
@@ -422,7 +428,7 @@ class TestAblate:
              "--steps", "2", "--interval", "2", "--finetune-iters", "2"]
         )
         assert rc == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = read_rows(out_csv)
         assert len(rows) == 4
         assert {r["variant"] for r in rows} == {
             "iterative-gradient", "iterative-opacity",
@@ -439,7 +445,7 @@ class TestAblate:
                  "--steps", "1", "--interval", "2", "--finetune-iters", "1"]
             )
             assert rc == 0
-            rows = list(csv.DictReader((tmp_path / name).open()))
+            rows = read_rows(tmp_path / name)
             outputs.append([{k: v for k, v in r.items() if k != "runtime_s"} for r in rows])
         assert outputs[0] == outputs[1]
 
@@ -461,3 +467,22 @@ class TestParser:
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestCsvWrite:
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        # a row that fails part-way through leaves the previous CSV in place
+        # and no temporary file beside it
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, ["a", "b"], [{"a": 1, "b": 2.0}])
+        old = path.read_bytes()
+
+        def rows():
+            yield {"a": 3, "b": 4.0}
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            cli._write_csv(path, ["a", "b"], rows())
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+        assert read_rows(path) == [{"a": "1", "b": "2.000000"}]

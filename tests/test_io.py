@@ -1,5 +1,7 @@
 """Scene serialization, image files, manifests, and synthetic data."""
 
+import builtins
+import errno
 import math
 import re
 
@@ -7,8 +9,9 @@ import numpy as np
 import pytest
 
 from splatrim.core import GaussianSet
-from splatrim.errors import DatasetError
+from splatrim.errors import DatasetError, SplatError
 from splatrim.metrics import model_size_bytes, psnr
+from splatrim import sceneio
 from splatrim.render import rasterize
 from splatrim.sceneio import (
     BYTES_PER_VERTEX,
@@ -315,6 +318,16 @@ class TestManifest:
         with pytest.raises(DatasetError, match=re.escape(f"manifest.txt:3: field {field} ")):
             read_manifest(path)
 
+    def test_non_ascii_byte_names_its_line(self, tmp_path):
+        # a corrupted byte used to escape as a UnicodeDecodeError traceback
+        path = tmp_path / "manifest.txt"
+        write_manifest([self.entry("a.ppm"), self.entry("b.ppm")], path)
+        data = path.read_bytes()
+        second = data.index(b"b.ppm")
+        path.write_bytes(data[:second] + b"\xe9" + data[second + 1:])
+        with pytest.raises(DatasetError, match=r"manifest.txt:3: byte 0xe9 is not ASCII"):
+            read_manifest(path)
+
     def test_order_stability(self, tmp_path):
         rng = np.random.default_rng(3)
         names = [f"v{i}.ppm" for i in range(5)]
@@ -367,3 +380,154 @@ class TestMakeSynthetic:
     def test_positions_inside_unit_cube(self, tmp_path):
         scene, _ = make_synthetic(tmp_path, seed=1, n_gaussians=100, n_views=2, image_size=16)
         assert np.all(np.abs(scene.positions) <= 0.5)
+
+
+def corruptions(data: bytes, rng: np.random.Generator, n: int):
+    """``n`` seeded corruptions of a valid file: truncations, single-bit
+    flips, and short runs of random bytes."""
+    for _ in range(n):
+        out = bytearray(data)
+        kind = rng.integers(3)
+        if kind == 0:
+            out = out[: rng.integers(len(out))]
+        elif kind == 1:
+            for pos in rng.integers(len(out), size=rng.integers(1, 4)):
+                out[pos] ^= 1 << int(rng.integers(8))
+        else:
+            start = int(rng.integers(len(out)))
+            run = rng.integers(0, 256, size=rng.integers(1, 9), dtype=np.uint8).tobytes()
+            out[start:start + len(run)] = run
+        yield bytes(out)
+
+
+class TestFuzz:
+    """Seeded corruptions of valid files: a reader either loads the file or
+    raises a SplatError, never anything else."""
+
+    @staticmethod
+    def check(read, path, variants) -> int:
+        failures = 0
+        for i, data in enumerate(variants):
+            path.write_bytes(data)
+            try:
+                read(path)
+            except SplatError:
+                failures += 1
+            except Exception as err:  # noqa: BLE001 - the point of the test
+                pytest.fail(f"variant {i}: {type(err).__name__}: {err}")
+        return failures
+
+    def test_ply(self, tmp_path):
+        path = tmp_path / "scene.ply"
+        write_ply(random_scene(30, 3), path)
+        valid = path.read_bytes()
+        rng = np.random.default_rng(30)
+        assert self.check(read_ply, path, corruptions(valid, rng, 400)) > 0
+
+    def test_ply_non_finite_values(self, tmp_path):
+        path = tmp_path / "scene.ply"
+        write_ply(random_scene(31, 3), path)
+        valid = path.read_bytes()
+        body = len(valid) - 3 * BYTES_PER_VERTEX
+        rng = np.random.default_rng(31)
+        for value in (np.nan, np.inf, -np.inf):
+            for _ in range(20):
+                index = int(rng.integers(3 * FLOATS_PER_VERTEX))
+                if index % FLOATS_PER_VERTEX in (3, 4, 5):  # the unused normals
+                    continue
+                data = bytearray(valid)
+                data[body + 4 * index: body + 4 * index + 4] = np.float32(value).tobytes()
+                path.write_bytes(bytes(data))
+                with pytest.raises(PlyBodyError, match="not finite"):
+                    read_ply(path)
+
+    def test_ppm(self, tmp_path):
+        path = tmp_path / "a.ppm"
+        write_ppm(np.random.default_rng(32).random((5, 4, 3)), path)
+        valid = path.read_bytes()
+        rng = np.random.default_rng(32)
+        assert self.check(read_ppm, path, corruptions(valid, rng, 400)) > 0
+
+    def test_manifest(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        entry = ManifestEntry(
+            image_path="a.ppm", width=8, height=6, fx=10.0, fy=11.0, cx=3.5, cy=2.5,
+            world_to_camera=np.eye(4), split="train",
+        )
+        write_manifest([entry, entry], path)
+        valid = path.read_bytes()
+        rng = np.random.default_rng(33)
+        assert self.check(read_manifest, path, corruptions(valid, rng, 400)) > 0
+
+    def test_manifest_non_finite_values(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        entry = ManifestEntry(
+            image_path="a.ppm", width=8, height=6, fx=10.0, fy=11.0, cx=3.5, cy=2.5,
+            world_to_camera=np.eye(4), split="train",
+        )
+        write_manifest([entry], path)
+        header, line = path.read_text().splitlines()
+        rng = np.random.default_rng(34)
+        for value in ("nan", "inf", "-inf", "1e999", "NaN"):
+            parts = line.split()
+            column = int(rng.integers(1, 23))
+            parts[column] = value
+            path.write_text(f"{header}\n{' '.join(parts)}\n")
+            with pytest.raises(DatasetError, match=f":2: field "):
+                read_manifest(path)
+
+
+class TestAtomicWrite:
+    """A write that fails part-way leaves the old file as it was and no
+    temporary file behind."""
+
+    class FullDisk:
+        """A file whose first write stores half its data, then fails."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    WRITERS = {
+        "scene.ply": lambda seed, path: write_ply(random_scene(seed, 4), path),
+        "a.ppm": lambda seed, path: write_ppm(
+            np.random.default_rng(seed).random((4, 5, 3)), path
+        ),
+        "manifest.txt": lambda seed, path: write_manifest(
+            [ManifestEntry("a.ppm", 5, 4, 10.0, 10.0, 2.0, 1.5, np.eye(4), "train")] * seed,
+            path,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, name):
+        path = tmp_path / name
+        write = self.WRITERS[name]
+        write(1, path)
+        old = path.read_bytes()
+        monkeypatch.setattr(
+            sceneio, "open", lambda *a, **k: self.FullDisk(builtins.open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError, match="No space left"):
+            write(2, path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_write_replaces_the_old_file(self, tmp_path, name):
+        path = tmp_path / name
+        write = self.WRITERS[name]
+        write(1, path)
+        first = path.read_bytes()
+        write(2, path)
+        assert path.read_bytes() != first
+        assert list(tmp_path.iterdir()) == [path]

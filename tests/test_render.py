@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from splatrim.core import (
-    Camera, GaussianSet, SH_C0, normalize_quaternions, opacity_logit, sh_basis,
+    Camera, GaussianSet, SH_C0, normalize_quaternions, opacity_logit, quaternion_to_rotation,
+    sh_basis,
 )
 from splatrim.errors import InvalidParameterError, InvalidStateError
 from splatrim.render import (
@@ -20,7 +21,7 @@ from splatrim.render import (
     rasterize_backward,
 )
 from splatrim import render as render_module
-from splatrim.render import _add_per_row, _sh_basis_jacobian, _sh_direction_gradient
+from splatrim.render import _add_per_row, _chain_to_parameters, _sh_direction_gradient
 
 BLACK = np.zeros(3)
 
@@ -611,23 +612,77 @@ class TestBackwardPlumbing:
             rasterize_backward(g, cam, out, np.zeros((8, 8, 3)))
 
 
+def stencil_jacobian(f, points, h):
+    """d f / d point of a polynomial ``f`` of degree at most 3 (exact up to
+    rounding for it) by the five-point central difference: (V, out, in)."""
+    cols = []
+    for axis in range(points.shape[1]):
+        step = np.zeros(points.shape[1])
+        step[axis] = h
+        cols.append((
+            f(points - 2 * step) - 8 * f(points - step) + 8 * f(points + step)
+            - f(points + 2 * step)
+        ) / (12 * h))
+    return np.stack(cols, axis=-1)
+
+
+def literal_chain(scene, camera, prep, d_color, d_opacity, d_mean2d, d_conic):
+    """The parameter chain as batched matmuls and einsums over the visible
+    rows, with the SH and quaternion Jacobians by stencil: (V, ...) arrays."""
+    proj, conic = prep.proj, prep.conic
+    g = np.stack((d_conic[0], d_conic[1], d_conic[1], d_conic[2]), axis=1).reshape(-1, 2, 2)
+    d_cov2d = -conic @ g @ conic
+    p_t = np.swapaxes(proj.p_mat, 1, 2)
+    d_sigma3 = p_t @ d_cov2d @ proj.p_mat
+    d_p = (d_cov2d + np.swapaxes(d_cov2d, 1, 2)) @ proj.p_mat @ proj.sigma3
+    rot_w2c = camera.world_to_camera[:3, :3]
+    d_jac = d_p @ rot_w2c.T
+    x, y, z = proj.t_cam.T
+    fx, fy = camera.fx, camera.fy
+    d_t = np.stack((
+        -fx / z**2 * d_jac[:, 0, 2] + fx / z * d_mean2d[:, 0],
+        -fy / z**2 * d_jac[:, 1, 2] + fy / z * d_mean2d[:, 1],
+        -fx / z**2 * d_jac[:, 0, 0] - fy / z**2 * d_jac[:, 1, 1]
+        + 2 * fx * x / z**3 * d_jac[:, 0, 2] + 2 * fy * y / z**3 * d_jac[:, 1, 2]
+        - fx * x / z**2 * d_mean2d[:, 0] - fy * y / z**2 * d_mean2d[:, 1],
+    ), axis=1)
+
+    def normalize_vjp(unit, norm, d_unit):
+        return (d_unit - np.einsum("vk,vk->v", d_unit, unit)[:, None] * unit) / norm[:, None]
+
+    d_col = np.where(prep.color_raw > 0.0, d_color.T, 0.0)
+    sh = scene.sh_coeffs[prep.vis_idx].astype(np.float64)
+    d_dir = np.einsum("vlc,vc,vlk->vk", sh, d_col, stencil_jacobian(sh_basis, prep.dir_hat, 0.5))
+    d_pos = d_t @ rot_w2c + normalize_vjp(prep.dir_hat, prep.dir_len, d_dir)
+    d_m = (d_sigma3 + np.swapaxes(d_sigma3, 1, 2)) @ proj.m_mat
+    d_rot = d_m * proj.scales[:, None, :]
+    rot_jac = stencil_jacobian(quaternion_to_rotation, proj.q_hat, 0.5)  # (V, 3, 3, 4)
+    d_q = normalize_vjp(proj.q_hat, proj.q_norm, np.einsum("vij,vijq->vq", d_rot, rot_jac))
+    o = prep.opacity
+    return {
+        "positions": d_pos,
+        "rotations": d_q,
+        "log_scales": proj.scales * np.einsum("vrk,vrk->vk", proj.rot, d_m),
+        "opacity_logits": o * (1.0 - o) * d_opacity,
+        "sh_coeffs": prep.basis[:, :, None] * d_col[:, None, :],
+    }
+
+
 class TestBackwardContractions:
-    """The backward's contractions against their literal einsum definitions."""
+    """The backward's contractions against their literal definitions."""
 
     def test_sh_basis_jacobian_matches_five_point_stencil(self):
-        # the basis is a cubic polynomial in (x, y, z), for which the
-        # five-point central difference is exact up to rounding
+        # one-hot coefficients make _sh_direction_gradient return one row of
+        # the basis Jacobian, which the five-point central difference gives
+        # up to rounding (the basis is a cubic polynomial in (x, y, z))
         d = np.random.default_rng(10).normal(size=(30, 3))
-        h = 0.5
-        want = np.zeros((30, 16, 3))
-        for axis in range(3):
-            step = np.zeros(3)
-            step[axis] = h
-            want[:, :, axis] = (
-                sh_basis(d - 2 * step) - 8 * sh_basis(d - step)
-                + 8 * sh_basis(d + step) - sh_basis(d + 2 * step)
-            ) / (12 * h)
-        np.testing.assert_allclose(_sh_basis_jacobian(d), want, rtol=0, atol=1e-12)
+        want = stencil_jacobian(sh_basis, d, 0.5)
+        d_color = np.tile([1.0, 0.0, 0.0], (30, 1))
+        for l in range(16):
+            coeffs = np.zeros((30, 16, 3))
+            coeffs[:, l, 0] = 1.0
+            got = _sh_direction_gradient(coeffs, d, d_color).T
+            np.testing.assert_allclose(got, want[:, l], rtol=0, atol=1e-12)
 
     def test_sh_direction_gradient_matches_three_operand_einsum(self):
         rng = np.random.default_rng(11)
@@ -635,9 +690,58 @@ class TestBackwardContractions:
         dirs = rng.normal(size=(40, 3))
         d_color = rng.normal(size=(40, 3))
         unit = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        want = np.einsum("vlc,vc,vlk->vk", coeffs, d_color, _sh_basis_jacobian(unit))
-        got = _sh_direction_gradient(coeffs, unit, d_color)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        jac = stencil_jacobian(sh_basis, unit, 0.5)
+        # float32 coefficients too, as the chain reads them from the scene
+        for c in (coeffs, coeffs.astype(np.float32)):
+            want = np.einsum("vlc,vc,vlk->vk", c.astype(np.float64), d_color, jac)
+            got = _sh_direction_gradient(c, unit, d_color).T
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("cfg_name", ["default", "desk"])
+    @pytest.mark.parametrize("seed", [5, 7])
+    def test_chain_matches_literal_matmuls(self, seed, cfg_name):
+        scene, cam, bg, _ = crowded_case(seed)
+        prep = rasterize(scene, cam, bg, CONFIGS[cfg_name])._prep
+        vis = prep.vis_idx
+        assert vis.size < scene.count  # the case has culled rows
+        rng = np.random.default_rng(seed)
+        args = (
+            rng.normal(size=(3, vis.size)), rng.normal(size=vis.size),
+            rng.normal(size=(vis.size, 2)), rng.normal(size=(3, vis.size)),
+        )
+        got = _chain_to_parameters(scene, cam, prep, *args)
+        want = literal_chain(scene, cam, prep, *args)
+        culled = np.setdiff1d(np.arange(scene.count), vis)
+        for name, w in want.items():
+            g = getattr(got, name)
+            assert g.shape[0] == scene.count
+            assert not g[culled].any()
+            np.testing.assert_allclose(g[vis], w, rtol=0, atol=1e-12 * np.abs(w).max())
+        # the SH product is the same product, bitwise
+        np.testing.assert_array_equal(got.sh_coeffs[vis], want["sh_coeffs"])
+
+    def test_per_row_moments_match_scatter_add(self):
+        # the backward's (1, dx, dy, dx^2, dx dy, dy^2) moments per splat
+        rng = np.random.default_rng(12)
+        n_rows, m = 37, 900
+        rows = rng.integers(0, n_rows - 1, m)  # the last row has no pair
+        grad = rng.normal(size=m)
+        dx = rng.normal(size=m) * 4.0
+        dy = rng.normal(size=m) * 4.0
+        values = [grad * p for p in (np.ones(m), dx, dy, dx * dx, dx * dy, dy * dy)]
+        mom = np.zeros((6, n_rows))
+        _add_per_row(mom, rows, values)
+        for got, v in zip(mom, values):
+            want = np.zeros(n_rows)
+            np.add.at(want, rows, v)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert got[-1] == 0.0
+        # sums carried over a split equal the sums in one go, bitwise
+        split = np.zeros((6, n_rows))
+        _add_per_row(split, rows[:400], [v[:400] for v in values])
+        _add_per_row(split, rows[400:], [v[400:] for v in values])
+        np.testing.assert_array_equal(split, mom)
+
 
     def test_per_row_moments_match_scatter_add(self):
         # the backward's (1, dx, dy, dx^2, dx dy, dy^2) moments per splat

@@ -8,7 +8,7 @@ import pytest
 from splatrim.core import GaussianSet, normalize_quaternions
 from splatrim.errors import DivergedRunError, EmptySceneError, InvalidParameterError
 from splatrim.metrics import LossConfig
-from splatrim.prune import PruneCriterion, PruneSchedule
+from splatrim.prune import PruneCriterion, PruneSchedule, apply_mask
 from splatrim.render import ParamGradients, RenderConfig, rasterize
 from splatrim.sceneio import make_synthetic, load_dataset, perturb_scene
 from splatrim.train import (
@@ -32,11 +32,11 @@ def small_dataset(tmp_path_factory):
     return scene, views
 
 
+GROUPS = ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs")
+
+
 def scene_bits(scene):
-    return tuple(
-        getattr(scene, name).tobytes()
-        for name in ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs")
-    )
+    return tuple(getattr(scene, name).tobytes() for name in GROUPS)
 
 
 class TestFinetuneStep:
@@ -177,6 +177,49 @@ class TestOptimizerState:
         delta = lr * (m / (1.0 - cfg.beta1)) / (np.sqrt(v / (1.0 - cfg.beta2)) + cfg.eps)
         want = (scene.sh_coeffs.astype(np.float64) - delta).astype(np.float32)
         np.testing.assert_array_equal(new.sh_coeffs, want)
+
+    def test_steps_match_the_literal_update_across_a_filter(self, small_dataset):
+        # the step computes into a workspace kept between steps and rebuilt at
+        # the new size after a filter; scene and moments stay bitwise those
+        # of the literal update
+        scene, _ = small_dataset
+        rng = np.random.default_rng(6)
+        cfg = OptimizerConfig()
+        opt = OptimizerState.create(scene, cfg, 20)
+        m1 = {name: np.zeros(getattr(scene, name).shape) for name in GROUPS}
+        m2 = {name: np.zeros(getattr(scene, name).shape) for name in GROUPS}
+        sh_lr = np.full((16, 3), cfg.sh_rest_lr)
+        sh_lr[0] = cfg.sh_dc_lr
+        for step in range(1, 11):
+            if step == 6:
+                keep = rng.random(scene.count) < 0.6
+                scene, opt = apply_mask(scene, keep), opt.filter(keep)
+                m1 = {name: v[keep] for name, v in m1.items()}
+                m2 = {name: v[keep] for name, v in m2.items()}
+            grads = ParamGradients.zeros(scene.count)
+            for name in GROUPS:
+                getattr(grads, name)[...] = rng.normal(size=getattr(scene, name).shape)
+            new = opt.step(scene, grads)
+            lrs = {
+                "positions": opt.position_lr(step), "rotations": cfg.rotation_lr,
+                "log_scales": cfg.scale_lr, "opacity_logits": cfg.opacity_lr,
+                "sh_coeffs": sh_lr,
+            }
+            for name in GROUPS:
+                g = getattr(grads, name)
+                m1[name] = m1[name] * cfg.beta1 + (1.0 - cfg.beta1) * g
+                m2[name] = m2[name] * cfg.beta2 + (1.0 - cfg.beta2) * g * g
+                delta = m1[name] / (1.0 - cfg.beta1**step) * lrs[name] / (
+                    np.sqrt(m2[name] / (1.0 - cfg.beta2**step)) + cfg.eps
+                )
+                want = getattr(scene, name).astype(np.float64) - delta
+                if name == "rotations":
+                    want = normalize_quaternions(want)
+                np.testing.assert_array_equal(getattr(new, name), want.astype(np.float32))
+                np.testing.assert_array_equal(opt.moments1[name], m1[name])
+                np.testing.assert_array_equal(opt.moments2[name], m2[name])
+            scene = new
+        assert opt.step_count == 10
 
     def test_position_lr_decays_exponentially(self):
         scene = GaussianSet.empty()
