@@ -98,7 +98,13 @@ def _history_rows(run):
 # ---------------------------------------------------------------------------
 
 
+def _check_seed(seed: int, where: str) -> None:
+    if seed < 0:
+        raise SplatError(f"{where} must be >= 0, got {seed}")
+
+
 def cmd_synth(args) -> int:
+    _check_seed(args.seed, "--seed")
     scene, manifest = make_synthetic(
         args.out, seed=args.seed, n_gaussians=args.gaussians,
         n_views=args.views, image_size=args.size,
@@ -120,11 +126,14 @@ def _config_value(key: str, text: str, path):
     elif key in CONFIG_FLOAT_KEYS + CONFIG_LR_KEYS:
         kind = float
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise SplatError(
             f"config key {key!r} in {path}: {text!r} is not a valid {kind.__name__}"
         ) from None
+    if key == "seed":
+        _check_seed(value, f"config key 'seed' in {path}")
+    return value
 
 
 def _apply_run_config(args) -> OptimizerConfig | None:
@@ -143,6 +152,8 @@ def _apply_run_config(args) -> OptimizerConfig | None:
 
 
 def cmd_trim(args) -> int:
+    if args.seed is not None:
+        _check_seed(args.seed, "--seed")
     opt_cfg = _apply_run_config(args)
     if args.scene is None or args.manifest is None or args.out_scene is None:
         raise SplatError("scene, manifest, and out-scene are required (flag or config)")
@@ -183,7 +194,7 @@ def cmd_trim(args) -> int:
         _write_csv(args.history, ["iteration", "loss", "psnr", "count"], _history_rows(run))
 
     pruned_bytes = model_size_bytes(pruned)
-    quality = evaluate(pruned, test_views, loss_cfg)
+    quality = evaluate(pruned, test_views)
     print(f"count: {pruned.count} (from {scene.count})")
     print(f"size: {pruned_bytes / 1e6:.3f} MB (from {baseline_bytes / 1e6:.3f} MB)")
     print(f"compression: {compression_ratio(baseline_bytes, pruned_bytes):.3f}x")
@@ -214,14 +225,13 @@ def cmd_render(args) -> int:
 def cmd_eval(args) -> int:
     baseline = read_ply(args.baseline)
     views = load_dataset(args.manifest, split=args.split)
-    loss_cfg = LossConfig()
     baseline_bytes = model_size_bytes(baseline)
     references = [rasterize(baseline, camera, BACKGROUND).image for camera, _ in views]
     dataset = [(camera, ref) for (camera, _), ref in zip(views, references)]
     rows = []
     for scene_path in args.scene:
         scene = read_ply(scene_path)
-        quality = evaluate(scene, dataset, loss_cfg)
+        quality = evaluate(scene, dataset)
         scene_bytes = model_size_bytes(scene)
         row = {
             "scene": str(scene_path),
@@ -274,14 +284,19 @@ def _parse_gammas(text: str) -> list[float]:
     gammas = []
     for item in text.split(","):
         try:
-            gammas.append(float(item))
+            gamma = float(item)
         except ValueError:
             raise SplatError(f"--gammas: {item!r} is not a number") from None
+        if not 0.0 <= gamma < 1.0:
+            raise SplatError(f"--gammas: {item!r} is not in [0, 1)")
+        gammas.append(gamma)
     return gammas
 
 
 def cmd_ablate(args) -> int:
     gammas = _parse_gammas(args.gammas)
+    if args.seeds < 1:
+        raise SplatError(f"--seeds must be >= 1, got {args.seeds}")
     fields = _schedule_fields(args, "desk")
     scene = read_ply(args.scene)
     train_views = load_dataset(args.manifest, split="train")
@@ -306,7 +321,7 @@ def cmd_ablate(args) -> int:
                             scene, train_views, gamma, fields["finetune_iters"],
                             criterion=criterion, loss_cfg=loss_cfg, seed=seed,
                         )
-                    quality = evaluate(pruned, test_views, loss_cfg)
+                    quality = evaluate(pruned, test_views)
                     rows.append(
                         {
                             "variant": f"{mode}-{crit_name}",

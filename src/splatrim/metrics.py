@@ -18,20 +18,19 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_C1 = 0.0001  # (0.01)^2 on unit dynamic range
+SSIM_C2 = 0.0009  # (0.03)^2
+
 
 @dataclass(frozen=True)
 class LossConfig:
     lam: float = 0.2
-    ssim_window: int = 11
-    ssim_sigma: float = 1.5
-    ssim_c1: float = 0.0001  # (0.01)^2 on unit dynamic range
-    ssim_c2: float = 0.0009  # (0.03)^2
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidParameterError("lam must be in [0, 1]")
-        if self.ssim_window < 3 or self.ssim_window % 2 == 0:
-            raise InvalidParameterError("ssim_window must be odd and >= 3")
 
 
 def _check_pair(rendered: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,14 +55,14 @@ def l1_loss(rendered: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _blur_matrix(n: int, window: int, sigma: float) -> np.ndarray:
-    """(n, n) matrix applying a reflect-padded 1D Gaussian blur."""
-    half = window // 2
-    taps = np.exp(-0.5 * ((np.arange(window) - half) / sigma) ** 2)
+def _blur_matrix(n: int) -> np.ndarray:
+    """(n, n) matrix applying the reflect-padded 1D Gaussian SSIM blur."""
+    half = SSIM_WINDOW // 2
+    taps = np.exp(-0.5 * ((np.arange(SSIM_WINDOW) - half) / SSIM_SIGMA) ** 2)
     taps /= taps.sum()
     m = np.zeros((n, n), np.float64)
     for i in range(n):
-        for k in range(window):
+        for k in range(SSIM_WINDOW):
             j = i - half + k
             if j < 0:
                 j = -j
@@ -76,10 +75,10 @@ def _blur_matrix(n: int, window: int, sigma: float) -> np.ndarray:
 class _SsimState:
     """Per-channel SSIM map plus everything the backward pass reuses."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, cfg: LossConfig):
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         h, w = x.shape
-        self.mv = _blur_matrix(h, cfg.ssim_window, cfg.ssim_sigma)
-        self.mh = _blur_matrix(w, cfg.ssim_window, cfg.ssim_sigma)
+        self.mv = _blur_matrix(h)
+        self.mh = _blur_matrix(w)
         blur = lambda img: self.mv @ img @ self.mh.T
         self.x, self.y = x, y
         self.mu_x = blur(x)
@@ -87,10 +86,10 @@ class _SsimState:
         self.var_x = blur(x * x) - self.mu_x**2
         self.var_y = blur(y * y) - self.mu_y**2
         self.cov_xy = blur(x * y) - self.mu_x * self.mu_y
-        self.a1 = 2 * self.mu_x * self.mu_y + cfg.ssim_c1
-        self.a2 = 2 * self.cov_xy + cfg.ssim_c2
-        self.b1 = self.mu_x**2 + self.mu_y**2 + cfg.ssim_c1
-        self.b2 = self.var_x + self.var_y + cfg.ssim_c2
+        self.a1 = 2 * self.mu_x * self.mu_y + SSIM_C1
+        self.a2 = 2 * self.cov_xy + SSIM_C2
+        self.b1 = self.mu_x**2 + self.mu_y**2 + SSIM_C1
+        self.b2 = self.var_x + self.var_y + SSIM_C2
         self.map = (self.a1 * self.a2) / (self.b1 * self.b2)
 
     def backward(self, d_map: np.ndarray) -> np.ndarray:
@@ -108,41 +107,37 @@ class _SsimState:
         return adjoint(d_mu_x) + 2 * self.x * adjoint(d_var_x) + self.y * adjoint(d_cov)
 
 
-def ssim(rendered: np.ndarray, target: np.ndarray, cfg: LossConfig | None = None) -> float:
-    """Mean SSIM over pixels and channels; 1.0 for identical images."""
-    cfg = cfg or LossConfig()
+def _ssim_inputs(rendered, target) -> tuple[np.ndarray, np.ndarray]:
+    """Both images checked and as (H, W, C), each side at least the SSIM window."""
     rendered, target = _check_pair(rendered, target)
     if rendered.ndim == 2:
-        rendered = rendered[..., None]
-        target = target[..., None]
+        rendered, target = rendered[..., None], target[..., None]
     h, w = rendered.shape[:2]
-    if h < cfg.ssim_window or w < cfg.ssim_window:
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise InvalidParameterError("image smaller than the SSIM window")
+    return rendered, target
+
+
+def ssim(rendered: np.ndarray, target: np.ndarray) -> float:
+    """Mean SSIM over pixels and channels; 1.0 for identical images."""
+    rendered, target = _ssim_inputs(rendered, target)
     total = 0.0
     for c in range(rendered.shape[2]):
-        total += float(np.mean(_SsimState(rendered[..., c], target[..., c], cfg).map))
+        total += float(np.mean(_SsimState(rendered[..., c], target[..., c]).map))
     return total / rendered.shape[2]
 
 
-def dssim_loss(
-    rendered: np.ndarray, target: np.ndarray, cfg: LossConfig | None = None
-) -> tuple[float, np.ndarray]:
+def dssim_loss(rendered: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Structural dissimilarity (1 - SSIM) / 2 and its gradient."""
-    cfg = cfg or LossConfig()
-    rendered, target = _check_pair(rendered, target)
-    squeeze = rendered.ndim == 2
-    if squeeze:
-        rendered = rendered[..., None]
-        target = target[..., None]
+    squeeze = np.ndim(rendered) == 2
+    rendered, target = _ssim_inputs(rendered, target)
     h, w, channels = rendered.shape
-    if h < cfg.ssim_window or w < cfg.ssim_window:
-        raise InvalidParameterError("image smaller than the SSIM window")
     grad = np.zeros_like(rendered)
     mean_ssim = 0.0
     # d(dssim)/d(map) = -0.5 / (H*W*C), shared by every channel
     d_map = np.full((h, w), -0.5 / (h * w * channels), np.float64)
     for c in range(channels):
-        state = _SsimState(rendered[..., c], target[..., c], cfg)
+        state = _SsimState(rendered[..., c], target[..., c])
         mean_ssim += float(np.mean(state.map)) / channels
         grad[..., c] = state.backward(d_map)
     value = (1.0 - mean_ssim) / 2.0
@@ -157,9 +152,7 @@ def training_loss(
     l1_value, l1_grad = l1_loss(rendered, target)
     if cfg.lam == 0.0:
         return l1_value, l1_grad
-    d_value, d_grad = dssim_loss(rendered, target, cfg)
-    if cfg.lam == 1.0:
-        return d_value, d_grad
+    d_value, d_grad = dssim_loss(rendered, target)
     value = (1.0 - cfg.lam) * l1_value + cfg.lam * d_value
     return value, (1.0 - cfg.lam) * l1_grad + cfg.lam * d_grad
 

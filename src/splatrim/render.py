@@ -40,15 +40,16 @@ from .core import (
 )
 from .errors import InvalidParameterError, InvalidStateError
 
+LOWPASS = 0.3       # px^2 added to the 2D covariance diagonal
+ALPHA_CLAMP = 0.99  # largest alpha a splat composites with
+
 
 @dataclass(frozen=True)
 class RenderConfig:
-    """Rasterizer constants. Oracle tests disable the cut-offs."""
+    """Rasterizer cut-offs, which oracle tests disable, and the inert ``tile_size``."""
 
     tile_size: int = 16             # validated; the pair rasterizer reads nothing of it
     sigma_cutoff: float = 3.0       # contributor ellipse, in sigmas
-    lowpass: float = 0.3            # px^2 added to the 2D covariance diagonal
-    alpha_clamp: float = 0.99
     alpha_skip: float = 1.0 / 255.0
     transmittance_floor: float = 1e-4
 
@@ -196,8 +197,8 @@ def project(
 
     p_mat = jac @ rot_w2c  # (N, 2, 3)
     cov2d = p_mat @ sigma3 @ np.swapaxes(p_mat, 1, 2)
-    cov2d[:, 0, 0] += config.lowpass
-    cov2d[:, 1, 1] += config.lowpass
+    cov2d[:, 0, 0] += LOWPASS
+    cov2d[:, 1, 1] += LOWPASS
 
     det = cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] ** 2
 
@@ -423,7 +424,7 @@ def _composite(
     np.exp(gauss, out=gauss)
     alpha = coef[5].take(rows)
     alpha *= gauss
-    np.minimum(alpha, config.alpha_clamp, out=alpha)
+    np.minimum(alpha, ALPHA_CLAMP, out=alpha)
     if config.alpha_skip > 0.0:
         alpha[alpha < config.alpha_skip] = 0.0
 
@@ -584,7 +585,7 @@ def rasterize_backward(
         d_alpha = np.multiply(p.trans, e, out=e)
         d_alpha -= suffix
         # zero where skipped, terminated, or where the clamp bound alpha
-        d_alpha *= (p.alpha > 0) & p.active & (p.alpha < config.alpha_clamp)
+        d_alpha *= (p.alpha > 0) & p.active & (p.alpha < ALPHA_CLAMP)
         d_alpha *= p.gauss  # dL/d(opacity); dL/d(power) is this times opacity
         g *= p.weights
         d_dx = np.multiply(d_alpha, p.dx, out=tmp)

@@ -268,7 +268,7 @@ class ManifestEntry:
     world_to_camera: np.ndarray  # (4, 4)
     split: str  # "train" or "test"
 
-    def camera(self, near_clip: float = 0.1) -> Camera:
+    def camera(self) -> Camera:
         return Camera(
             world_to_camera=self.world_to_camera,
             fx=self.fx,
@@ -277,7 +277,6 @@ class ManifestEntry:
             cy=self.cy,
             width=self.width,
             height=self.height,
-            near_clip=near_clip,
         )
 
 
@@ -337,9 +336,7 @@ def _manifest_number(text: str, kind, where: str, name: str):
     return value
 
 
-def load_dataset(
-    manifest_path, split: str | None = None, near_clip: float = 0.1
-) -> list[tuple[Camera, np.ndarray]]:
+def load_dataset(manifest_path, split: str | None = None) -> list[tuple[Camera, np.ndarray]]:
     """Decode (camera, unit-range target image) pairs in manifest order."""
     manifest_path = Path(manifest_path)
     entries = read_manifest(manifest_path)
@@ -359,7 +356,7 @@ def load_dataset(
                 f"{img_path}: image is {image.shape[1]}x{image.shape[0]}, "
                 f"manifest says {e.width}x{e.height}"
             )
-        pairs.append((e.camera(near_clip), image))
+        pairs.append((e.camera(), image))
     return pairs
 
 
@@ -388,7 +385,6 @@ def ring_cameras(
     image_size: int,
     radius: float = 4.0,
     focal_scale: float = 1.4,
-    near_clip: float = 0.1,
 ) -> list[Camera]:
     """Cameras spaced on a ring around the origin, all looking at it."""
     cams = []
@@ -407,7 +403,6 @@ def ring_cameras(
                 cy=c,
                 width=image_size,
                 height=image_size,
-                near_clip=near_clip,
             )
         )
     return cams

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import SH_COEFFS, Camera, GaussianSet, normalize_quaternions
 from .errors import DivergedRunError, EmptySceneError, InvalidParameterError
-from .metrics import LossConfig, psnr, training_loss
+from .metrics import LossConfig, psnr, ssim, training_loss
 from .prune import (
     PruneCriterion,
     PruneReport,
@@ -35,10 +35,15 @@ from .render import (
 
 BACKGROUND = np.zeros(3)
 
+# Adam's moment decay rates and the denominator's guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-15
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Adam hyperparameters with per-group learning rates."""
+    """Adam learning rates per parameter group; the position rate decays."""
 
     position_lr_init: float = 1.6e-4
     position_lr_final: float = 1.6e-6
@@ -47,9 +52,6 @@ class OptimizerConfig:
     opacity_lr: float = 5e-2
     scale_lr: float = 5e-3
     rotation_lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-15
 
 
 _GROUPS = ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs")
@@ -115,9 +117,8 @@ class OptimizerState:
         the step count as they were.
         """
         step = self.step_count + 1
-        cfg = self.config
-        bias1 = 1.0 - cfg.beta1**step
-        bias2 = 1.0 - cfg.beta2**step
+        bias1 = 1.0 - BETA1**step
+        bias2 = 1.0 - BETA2**step
         new_arrays = {}
         for name in _GROUPS:
             grad = getattr(grads, name)
@@ -125,17 +126,17 @@ class OptimizerState:
             if work is None or work[0].shape != grad.shape:
                 work = self._work[name] = [np.empty(grad.shape) for _ in range(4)]
             m, v, delta, tmp = work
-            np.multiply(self.moments1[name], cfg.beta1, out=m)
-            m += np.multiply(grad, 1.0 - cfg.beta1, out=tmp)
-            np.multiply(self.moments2[name], cfg.beta2, out=v)
-            np.multiply(grad, 1.0 - cfg.beta2, out=tmp)
+            np.multiply(self.moments1[name], BETA1, out=m)
+            m += np.multiply(grad, 1.0 - BETA1, out=tmp)
+            np.multiply(self.moments2[name], BETA2, out=v)
+            np.multiply(grad, 1.0 - BETA2, out=tmp)
             tmp *= grad
             v += tmp
             np.divide(m, bias1, out=delta)
             delta *= self._group_lr(name, step)
             np.divide(v, bias2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += cfg.eps
+            tmp += EPS
             delta /= tmp
             if not np.any(delta):
                 continue
@@ -218,15 +219,13 @@ def finetune_step(
     optimizer: OptimizerState,
     camera: Camera,
     target: np.ndarray,
-    loss_cfg: LossConfig,
+    loss_cfg: LossConfig | None,
     render_cfg: RenderConfig | None = None,
-    background: np.ndarray = BACKGROUND,
 ) -> FinetuneResult:
     """Render one view, take one optimizer step, return the gradient norms."""
     if scene.count == 0:
         raise InvalidParameterError("cannot fine-tune an empty scene")
-    render_cfg = render_cfg or RenderConfig()
-    out = rasterize(scene, camera, background, render_cfg, for_backward=True)
+    out = rasterize(scene, camera, BACKGROUND, render_cfg, for_backward=True)
     # divergence shows up as non-finite parameters poisoning the render
     iteration = optimizer.step_count + 1
     if not np.all(np.isfinite(out.image)):
@@ -261,7 +260,7 @@ def _finetune_loop(
     dataset: list[tuple[Camera, np.ndarray]],
     cycler: _ViewCycler,
     iters: int,
-    loss_cfg: LossConfig,
+    loss_cfg: LossConfig | None,
     render_cfg: RenderConfig | None,
     run: TrainRun,
     stats: GradientStats | None = None,
@@ -321,7 +320,6 @@ def run_iterative_prune(
     """Alternate fine-tuning with prune events, then an extended fine-tune."""
     if not dataset:
         raise InvalidParameterError("dataset is empty")
-    loss_cfg = loss_cfg or LossConfig()
     total = schedule.interval * schedule.steps + schedule.finetune_iters
     optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), total)
     run = TrainRun()
@@ -346,12 +344,11 @@ def run_iterative_prune(
 def score_pass(
     scene: GaussianSet,
     dataset: list[tuple[Camera, np.ndarray]],
-    loss_cfg: LossConfig,
+    loss_cfg: LossConfig | None,
     render_cfg: RenderConfig | None = None,
 ) -> GradientStats:
     """Gradient statistics from one backward pass per view, with no updates."""
     stats = GradientStats.zeros(scene.count)
-    render_cfg = render_cfg or RenderConfig()
     for camera, target in dataset:
         out = rasterize(scene, camera, BACKGROUND, render_cfg, for_backward=True)
         _, d_image = training_loss(out.image, target, loss_cfg)
@@ -377,7 +374,6 @@ def one_shot_prune(
         raise InvalidParameterError("dataset is empty")
     # a one-event schedule validates gamma and finetune_iters up front
     PruneSchedule(gamma_target=gamma, steps=1, finetune_iters=finetune_iters)
-    loss_cfg = loss_cfg or LossConfig()
     run = TrainRun()
     report = PruneReport(initial_count=scene.count)
 
@@ -409,7 +405,7 @@ def finetune(
     run = TrainRun()
     cycler = _ViewCycler(len(dataset), np.random.default_rng(seed))
     scene, _ = _finetune_loop(
-        scene, optimizer, dataset, cycler, iters, loss_cfg or LossConfig(), render_cfg, run
+        scene, optimizer, dataset, cycler, iters, loss_cfg, render_cfg, run
     )
     return scene, run
 
@@ -417,17 +413,12 @@ def finetune(
 def evaluate(
     scene: GaussianSet,
     dataset: list[tuple[Camera, np.ndarray]],
-    loss_cfg: LossConfig | None = None,
     render_cfg: RenderConfig | None = None,
 ) -> dict:
     """Mean PSNR / SSIM of a scene against a set of views."""
-    from .metrics import ssim as ssim_fn
-
-    loss_cfg = loss_cfg or LossConfig()
-    render_cfg = render_cfg or RenderConfig()
     psnrs, ssims = [], []
     for camera, target in dataset:
         out = rasterize(scene, camera, BACKGROUND, render_cfg)
         psnrs.append(psnr(out.image, target))
-        ssims.append(ssim_fn(out.image, target, loss_cfg))
+        ssims.append(ssim(out.image, target))
     return {"psnr": float(np.mean(psnrs)), "ssim": float(np.mean(ssims))}

@@ -101,7 +101,7 @@ def build_benchmark(
         start, train_views, BASELINE_ITERS,
         loss_cfg=BENCH_LOSS, opt_cfg=BENCH_OPT, seed=run_seed, render_cfg=BENCH_RENDER,
     )
-    quality = evaluate(baseline, test_views, BENCH_LOSS, BENCH_RENDER)
+    quality = evaluate(baseline, test_views, BENCH_RENDER)
     return Benchmark(
         scene=scene,
         baseline=baseline,

@@ -162,7 +162,7 @@ def desk(tmp_path_factory):
         bench.baseline, bench.train_views, schedule,
         BENCH_LOSS, BENCH_OPT, seed=2, render_cfg=BENCH_RENDER,
     )
-    quality = evaluate(pruned, bench.test_views, BENCH_LOSS, BENCH_RENDER)
+    quality = evaluate(pruned, bench.test_views, BENCH_RENDER)
     return {
         "bench": bench,
         "pruned": pruned,
@@ -252,7 +252,7 @@ def _ablation_run(bench, gamma, mode, criterion, seed):
             criterion=criterion, loss_cfg=BENCH_LOSS, opt_cfg=BENCH_OPT,
             seed=seed, render_cfg=BENCH_RENDER,
         )
-    return evaluate(pruned, bench.test_views, BENCH_LOSS, BENCH_RENDER)["psnr"]
+    return evaluate(pruned, bench.test_views, BENCH_RENDER)["psnr"]
 
 
 @pytest.mark.slow

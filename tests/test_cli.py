@@ -67,6 +67,15 @@ class TestSynth:
         ) == 0
         assert len(list((tmp_path / "images").glob("*.ppm"))) == 3
 
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        rc = main(["synth", "--out", str(out), "--seed", "-1", "--gaussians", "10",
+                   "--views", "2", "--size", "16"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--seed" in err
+        assert not out.exists()
+
 
 class TestTrim:
     def test_gamma_zero_preserves_count(self, workspace, tmp_path):
@@ -258,6 +267,31 @@ class TestTrim:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err and "nodir" in err
         assert not any(p.exists() for p in map(Path, paths.values()))
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_fails_before_loading(
+        self, workspace, tmp_path, capsys, monkeypatch, source
+    ):
+        scene, manifest = data_paths(workspace)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("loaded the scene before checking the seed")
+
+        monkeypatch.setattr(cli, "read_ply", refuse)
+        argv = ["trim", "--scene", str(scene), "--manifest", str(manifest),
+                "--out-scene", str(tmp_path / "o.ply")]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed -1\n")
+            argv += ["--config", str(cfg)]
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ("--seed" if source == "flag" else "'seed'") in err
+        assert not (tmp_path / "o.ply").exists()
 
     def test_missing_test_split_fails_before_training(
         self, workspace, tmp_path, capsys, monkeypatch
@@ -457,6 +491,35 @@ class TestAblate:
         )
         assert rc == 1
         assert "'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gammas, bad", [
+        ("0.5,1.5", "'1.5'"), ("1", "'1'"), ("-0.1", "'-0.1'"), ("nan", "'nan'"),
+        ("0.2,inf", "'inf'"),
+    ])
+    def test_out_of_range_gamma_fails_before_loading(self, tmp_path, capsys, gammas, bad):
+        out_csv = tmp_path / "a.csv"
+        rc = main(
+            ["ablate", "--scene", str(tmp_path / "missing.ply"),
+             "--manifest", str(tmp_path / "missing.txt"), "--csv", str(out_csv),
+             "--gammas", gammas]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --gammas") and bad in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_fails_before_loading(self, tmp_path, capsys, seeds):
+        out_csv = tmp_path / "a.csv"
+        rc = main(
+            ["ablate", "--scene", str(tmp_path / "missing.ply"),
+             "--manifest", str(tmp_path / "missing.txt"), "--csv", str(out_csv),
+             "--seeds", seeds]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seeds") and seeds in err
+        assert not out_csv.exists()
 
 
 class TestParser:

@@ -118,7 +118,7 @@ class TestTrainingLoss:
         a, b = random_pair(8)
         cfg = LossConfig(lam=1.0)
         value, grad = training_loss(a, b, cfg)
-        dv, dg = dssim_loss(a, b, cfg)
+        dv, dg = dssim_loss(a, b)
         assert value == dv
         np.testing.assert_array_equal(grad, dg)
 
@@ -129,7 +129,7 @@ class TestTrainingLoss:
         cfg = LossConfig(lam=0.2)
         value, _ = training_loss(a, b, cfg)
         l1v, _ = l1_loss(a, b)
-        dv, _ = dssim_loss(a, b, cfg)
+        dv, _ = dssim_loss(a, b)
         assert value == pytest.approx(0.8 * l1v + 0.2 * dv, rel=1e-12)
 
     def test_convex_combination_bounds(self):
@@ -144,10 +144,6 @@ class TestTrainingLoss:
     def test_invalid_lambda(self):
         with pytest.raises(InvalidParameterError):
             LossConfig(lam=1.5)
-
-    def test_even_window_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            LossConfig(ssim_window=10)
 
 
 class TestPsnr:

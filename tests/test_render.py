@@ -13,6 +13,7 @@ from splatrim.core import (
 )
 from splatrim.errors import InvalidParameterError, InvalidStateError
 from splatrim.render import (
+    ALPHA_CLAMP,
     GradientStats,
     RenderConfig,
     accumulate_gradient_stats,
@@ -416,7 +417,7 @@ class TestPairs:
                 conic = prep.conic[rows]
                 form = (conic[:, 0, 0] * p.dx**2 + 2 * conic[:, 0, 1] * p.dx * p.dy
                         + conic[:, 1, 1] * p.dy**2)
-                raw_alpha = np.minimum(p.gauss * prep.opacity[rows], config.alpha_clamp)
+                raw_alpha = np.minimum(p.gauss * prep.opacity[rows], ALPHA_CLAMP)
                 for key in zip(prep.vis_idx[rows], pix, form, raw_alpha):
                     found[key[:2]] = key[2:]
             return found
@@ -518,7 +519,7 @@ class TestBackwardPlumbing:
         np.testing.assert_array_equal(kept.terminal_transmittance, plain.terminal_transmittance)
 
         # the case exercises what the kept state must reproduce
-        assert any((p.alpha == config.alpha_clamp).any() for p in kept._kept)
+        assert any((p.alpha == ALPHA_CLAMP).any() for p in kept._kept)
         assert any((p.color > 1.0).any() for p in kept._kept)
         if cfg_name != "exact":
             assert any((~p.active).any() for p in kept._kept)

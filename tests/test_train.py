@@ -12,6 +12,9 @@ from splatrim.prune import PruneCriterion, PruneSchedule, apply_mask
 from splatrim.render import ParamGradients, RenderConfig, rasterize
 from splatrim.sceneio import make_synthetic, load_dataset, perturb_scene
 from splatrim.train import (
+    BETA1,
+    BETA2,
+    EPS,
     OptimizerConfig,
     OptimizerState,
     evaluate,
@@ -172,9 +175,9 @@ class TestOptimizerState:
         new = OptimizerState.create(scene, cfg, 10).step(scene, grads)
         lr = np.full((n, 16, 3), cfg.sh_rest_lr)
         lr[:, 0, :] = cfg.sh_dc_lr
-        m = (1.0 - cfg.beta1) * grads.sh_coeffs
-        v = (1.0 - cfg.beta2) * grads.sh_coeffs * grads.sh_coeffs
-        delta = lr * (m / (1.0 - cfg.beta1)) / (np.sqrt(v / (1.0 - cfg.beta2)) + cfg.eps)
+        m = (1.0 - BETA1) * grads.sh_coeffs
+        v = (1.0 - BETA2) * grads.sh_coeffs * grads.sh_coeffs
+        delta = lr * (m / (1.0 - BETA1)) / (np.sqrt(v / (1.0 - BETA2)) + EPS)
         want = (scene.sh_coeffs.astype(np.float64) - delta).astype(np.float32)
         np.testing.assert_array_equal(new.sh_coeffs, want)
 
@@ -207,10 +210,10 @@ class TestOptimizerState:
             }
             for name in GROUPS:
                 g = getattr(grads, name)
-                m1[name] = m1[name] * cfg.beta1 + (1.0 - cfg.beta1) * g
-                m2[name] = m2[name] * cfg.beta2 + (1.0 - cfg.beta2) * g * g
-                delta = m1[name] / (1.0 - cfg.beta1**step) * lrs[name] / (
-                    np.sqrt(m2[name] / (1.0 - cfg.beta2**step)) + cfg.eps
+                m1[name] = m1[name] * BETA1 + (1.0 - BETA1) * g
+                m2[name] = m2[name] * BETA2 + (1.0 - BETA2) * g * g
+                delta = m1[name] / (1.0 - BETA1**step) * lrs[name] / (
+                    np.sqrt(m2[name] / (1.0 - BETA2**step)) + EPS
                 )
                 want = getattr(scene, name).astype(np.float64) - delta
                 if name == "rotations":
