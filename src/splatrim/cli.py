@@ -13,6 +13,7 @@ import csv
 import math
 import sys
 import time
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +38,7 @@ from .train import (
 CONFIG_INT_KEYS = ("steps", "interval", "finetune_iters", "seed")
 CONFIG_FLOAT_KEYS = ("gamma_target", "lam")
 CONFIG_STR_KEYS = ("criterion", "preset", "scene", "manifest", "out_scene", "report", "history")
-CONFIG_LR_KEYS = (
-    "position_lr_init", "position_lr_final", "sh_dc_lr", "sh_rest_lr",
-    "opacity_lr", "scale_lr", "rotation_lr",
-)
+CONFIG_LR_KEYS = tuple(f.name for f in fields(OptimizerConfig))
 
 PRESETS = {
     "desk": {"interval": 50, "steps": 10, "finetune_iters": 1000},
@@ -62,35 +60,26 @@ RUN_DEFAULTS = {
 }
 
 
-def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
-    return f"{value:.6f}"
-
-
-def _write_csv(path, fieldnames, rows) -> None:
+def _write_csv(path, rows) -> None:
+    """Stream dict rows to a CSV file, the header from the first row's keys
+    and floats to six decimals."""
     with atomic_write(path, text=True, newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = None
         for row in rows:
-            writer.writerow({k: _fmt(v) if isinstance(v, float) else v for k, v in row.items()})
+            if writer is None:
+                writer = csv.DictWriter(f, fieldnames=list(row))
+                writer.writeheader()
+            writer.writerow({k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()})
 
 
 def _schedule_fields(args, preset: str) -> dict:
     """A preset's interval, steps and finetune_iters, overridden by explicit flags."""
-    fields = dict(PRESETS[preset])
-    for key in fields:
+    chosen = dict(PRESETS[preset])
+    for key in chosen:
         value = getattr(args, key)
         if value is not None:
-            fields[key] = value
-    return fields
-
-
-def _history_rows(run):
-    return [
-        {"iteration": h.iteration, "loss": h.loss, "psnr": h.psnr, "count": h.count}
-        for h in run.history
-    ]
+            chosen[key] = value
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +146,7 @@ def cmd_trim(args) -> int:
     opt_cfg = _apply_run_config(args)
     if args.scene is None or args.manifest is None or args.out_scene is None:
         raise SplatError("scene, manifest, and out-scene are required (flag or config)")
+    loss_cfg = LossConfig(lam=args.lam)
     schedule = PruneSchedule(
         gamma_target=args.gamma_target,
         criterion=CRITERIA[args.criterion],
@@ -177,28 +167,22 @@ def cmd_trim(args) -> int:
     baseline_bytes = model_size_bytes(scene)
     train_views = load_dataset(args.manifest, split="train")
     test_views = load_dataset(args.manifest, split="test")
-    loss_cfg = LossConfig(lam=args.lam)
 
     pruned, report, run = run_iterative_prune(
         scene, train_views, schedule, loss_cfg, opt_cfg, seed=args.seed
     )
     write_ply(pruned, args.out_scene)
     if args.report:
-        _write_csv(
-            args.report,
-            ["iteration", "gamma_iter", "kept", "removed", "opacity_threshold",
-             "gradient_threshold", "achieved_sparsity"],
-            report.csv_rows(),
-        )
+        _write_csv(args.report, report.csv_rows())
     if args.history:
-        _write_csv(args.history, ["iteration", "loss", "psnr", "count"], _history_rows(run))
+        _write_csv(args.history, (asdict(h) for h in run.history))
 
     pruned_bytes = model_size_bytes(pruned)
     quality = evaluate(pruned, test_views)
     print(f"count: {pruned.count} (from {scene.count})")
     print(f"size: {pruned_bytes / 1e6:.3f} MB (from {baseline_bytes / 1e6:.3f} MB)")
     print(f"compression: {compression_ratio(baseline_bytes, pruned_bytes):.3f}x")
-    print(f"test psnr: {_fmt(quality['psnr'])} dB  test ssim: {_fmt(quality['ssim'])}")
+    print(f"test psnr: {quality['psnr']:.6f} dB  test ssim: {quality['ssim']:.6f}")
     return 0
 
 
@@ -244,15 +228,11 @@ def cmd_eval(args) -> int:
         }
         rows.append(row)
         print(
-            f"{scene_path}: ssim {_fmt(row['ssim'])}  psnr {_fmt(row['psnr'])}  "
+            f"{scene_path}: ssim {row['ssim']:.6f}  psnr {row['psnr']:.6f}  "
             f"size {row['size_mb']:.3f} MB  compression {row['compression']:.3f}x"
         )
     if args.csv:
-        _write_csv(
-            args.csv,
-            ["scene", "baseline", "ssim", "psnr", "size_mb", "baseline_mb", "compression"],
-            rows,
-        )
+        _write_csv(args.csv, rows)
     return 0
 
 
@@ -267,8 +247,8 @@ def cmd_stats(args) -> int:
         counts[label] = np.histogram(opacities, bins=bins)[0]
         median = float(np.median(opacities)) if scene.count else math.nan
         mean = float(np.mean(opacities)) if scene.count else math.nan
-        print(f"{label}: count {scene.count}  median opacity {_fmt(median)}  "
-              f"mean opacity {_fmt(mean)}")
+        print(f"{label}: count {scene.count}  median opacity {median:.6f}  "
+              f"mean opacity {mean:.6f}")
     if args.csv:
         rows = []
         for i in range(50):
@@ -276,7 +256,7 @@ def cmd_stats(args) -> int:
             for label in counts:
                 row[label] = int(counts[label][i])
             rows.append(row)
-        _write_csv(args.csv, list(rows[0].keys()), rows)
+        _write_csv(args.csv, rows)
     return 0
 
 
@@ -297,11 +277,12 @@ def cmd_ablate(args) -> int:
     gammas = _parse_gammas(args.gammas)
     if args.seeds < 1:
         raise SplatError(f"--seeds must be >= 1, got {args.seeds}")
-    fields = _schedule_fields(args, "desk")
+    # the flags' schedule, checked before loading; each variant sets its gamma and criterion
+    schedule = PruneSchedule(gamma_target=0.0, **_schedule_fields(args, "desk"))
+    loss_cfg = LossConfig(lam=args.lam)
     scene = read_ply(args.scene)
     train_views = load_dataset(args.manifest, split="train")
     test_views = load_dataset(args.manifest, split="test")
-    loss_cfg = LossConfig(lam=args.lam)
     seeds = list(range(args.seeds))
     rows = []
     for gamma in gammas:
@@ -310,15 +291,14 @@ def cmd_ablate(args) -> int:
                 for crit_name, criterion in CRITERIA.items():
                     start = time.perf_counter()
                     if mode == "iterative":
-                        schedule = PruneSchedule(
-                            gamma_target=gamma, criterion=criterion, **fields
-                        )
                         pruned, _, _ = run_iterative_prune(
-                            scene, train_views, schedule, loss_cfg, seed=seed
+                            scene, train_views,
+                            replace(schedule, gamma_target=gamma, criterion=criterion),
+                            loss_cfg, seed=seed,
                         )
                     else:
                         pruned, _, _ = one_shot_prune(
-                            scene, train_views, gamma, fields["finetune_iters"],
+                            scene, train_views, gamma, schedule.finetune_iters,
                             criterion=criterion, loss_cfg=loss_cfg, seed=seed,
                         )
                     quality = evaluate(pruned, test_views)
@@ -335,13 +315,9 @@ def cmd_ablate(args) -> int:
                     )
                     print(
                         f"{rows[-1]['variant']} gamma={gamma} seed={seed}: "
-                        f"psnr {_fmt(rows[-1]['psnr'])} size {rows[-1]['size_mb']:.3f} MB"
+                        f"psnr {rows[-1]['psnr']:.6f} size {rows[-1]['size_mb']:.3f} MB"
                     )
-    _write_csv(
-        args.csv,
-        ["variant", "gamma", "seed", "psnr", "ssim", "size_mb", "runtime_s"],
-        rows,
-    )
+    _write_csv(args.csv, rows)
     return 0
 
 

@@ -147,6 +147,13 @@ class Camera:
         return -self.rotation.T @ self.translation
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's default generator; a negative seed is an InvalidParameterError."""
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def normalize_quaternions(q: np.ndarray) -> np.ndarray:
     """Unit-normalize quaternions; zero-norm inputs become the identity."""
     q = np.asarray(q, np.float64)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,22 +80,12 @@ class PruneReport:
         return 1.0 - self.final_count / self.initial_count
 
     def csv_rows(self) -> list[dict]:
-        rows = []
-        for r in self.records:
-            rows.append(
-                {
-                    "iteration": r.iteration,
-                    "gamma_iter": r.gamma_iter,
-                    "kept": r.kept,
-                    "removed": r.removed,
-                    "opacity_threshold": r.opacity_threshold,
-                    "gradient_threshold": r.gradient_threshold,
-                    "achieved_sparsity": 1.0 - r.kept / self.initial_count
-                    if self.initial_count
-                    else 0.0,
-                }
-            )
-        return rows
+        """One row per event: the record's fields, then the sparsity reached."""
+        return [
+            {**asdict(r), "achieved_sparsity": 1.0 - r.kept / self.initial_count
+             if self.initial_count else 0.0}
+            for r in self.records
+        ]
 
 
 def per_iteration_fraction(gamma_target: float, steps: int) -> float:

@@ -151,8 +151,6 @@ class Projected2D(NamedTuple):
     det: np.ndarray      # (N,) det(cov2d)
     t_cam: np.ndarray    # (N, 3) camera-space position
     p_mat: np.ndarray    # (N, 2, 3) J @ W_rot
-    sigma3: np.ndarray   # (N, 3, 3) world covariance M M^T
-    m_mat: np.ndarray    # (N, 3, 3) R diag(s)
     rot: np.ndarray      # (N, 3, 3)
     scales: np.ndarray   # (N, 3)
     q_hat: np.ndarray    # (N, 4) unit quaternion
@@ -219,10 +217,7 @@ def project(
     mean2d[~in_front] = 0.0
     cov2d[~in_front] = 0.0
 
-    return Projected2D(
-        mean2d, cov2d, z, visible, det, t_cam, p_mat, sigma3, m_mat, rot, scales, q_hat,
-        q_norm,
-    )
+    return Projected2D(mean2d, cov2d, z, visible, det, t_cam, p_mat, rot, scales, q_hat, q_norm)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Camera, GaussianSet, SH_C0, normalize_quaternions
+from .core import Camera, GaussianSet, SH_C0, normalize_quaternions, seeded_rng
 from .errors import DatasetError, InvalidParameterError, SplatError
 
 FLOATS_PER_VERTEX = 62
@@ -259,40 +259,26 @@ def read_ppm(path) -> np.ndarray:
 @dataclass(frozen=True)
 class ManifestEntry:
     image_path: str
-    width: int
-    height: int
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    world_to_camera: np.ndarray  # (4, 4)
+    camera: Camera
     split: str  # "train" or "test"
-
-    def camera(self) -> Camera:
-        return Camera(
-            world_to_camera=self.world_to_camera,
-            fx=self.fx,
-            fy=self.fy,
-            cx=self.cx,
-            cy=self.cy,
-            width=self.width,
-            height=self.height,
-        )
 
 
 def write_manifest(entries: list[ManifestEntry], path) -> None:
     lines = ["# image width height fx fy cx cy w2c[16 row-major] split"]
     for e in entries:
-        w2c = " ".join(repr(float(v)) for v in e.world_to_camera.reshape(-1))
+        cam = e.camera
+        floats = (cam.fx, cam.fy, cam.cx, cam.cy, *cam.world_to_camera.reshape(-1))
         lines.append(
-            f"{e.image_path} {e.width} {e.height} {e.fx!r} {e.fy!r} "
-            f"{e.cx!r} {e.cy!r} {w2c} {e.split}"
+            f"{e.image_path} {cam.width} {cam.height} "
+            f"{' '.join(repr(float(v)) for v in floats)} {e.split}"
         )
     with atomic_write(path, text=True, encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def read_manifest(path) -> list[ManifestEntry]:
+    """Parse a manifest; each line's camera is checked as it is read, and
+    every fault is a DatasetError naming ``path:line``."""
     numbers = ["width", "height", "fx", "fy", "cx", "cy"] + [f"w2c[{i}]" for i in range(16)]
     raw = Path(path).read_bytes()
     try:
@@ -305,23 +291,22 @@ def read_manifest(path) -> list[ManifestEntry]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}:{lineno}"
         parts = line.split()
         if len(parts) != 24:
-            raise DatasetError(f"{path}:{lineno}: expected 24 fields, got {len(parts)}")
+            raise DatasetError(f"{where}: expected 24 fields, got {len(parts)}")
         split = parts[23]
         if split not in ("train", "test"):
-            raise DatasetError(f"{path}:{lineno}: split must be train or test")
-        values = [
-            _manifest_number(parts[i], int if i < 3 else float, f"{path}:{lineno}", name)
+            raise DatasetError(f"{where}: split must be train or test")
+        width, height, fx, fy, cx, cy, *w2c = (
+            _manifest_number(parts[i], int if i < 3 else float, where, name)
             for i, name in enumerate(numbers, 1)
-        ]
-        entries.append(
-            ManifestEntry(
-                parts[0], *values[:6],
-                world_to_camera=np.array(values[6:], np.float64).reshape(4, 4),
-                split=split,
-            )
         )
+        try:
+            camera = Camera(np.array(w2c).reshape(4, 4), fx, fy, cx, cy, width, height)
+        except InvalidParameterError as err:
+            raise DatasetError(f"{where}: {err}") from None
+        entries.append(ManifestEntry(parts[0], camera, split))
     return entries
 
 
@@ -351,12 +336,13 @@ def load_dataset(manifest_path, split: str | None = None) -> list[tuple[Camera, 
         if not img_path.exists():
             raise DatasetError(f"missing image {img_path}")
         image = read_ppm(img_path)
-        if image.shape[:2] != (e.height, e.width):
+        cam = e.camera
+        if image.shape[:2] != (cam.height, cam.width):
             raise DatasetError(
                 f"{img_path}: image is {image.shape[1]}x{image.shape[0]}, "
-                f"manifest says {e.width}x{e.height}"
+                f"manifest says {cam.width}x{cam.height}"
             )
-        pairs.append((e.camera(), image))
+        pairs.append((cam, image))
     return pairs
 
 
@@ -445,10 +431,9 @@ def make_synthetic(
         raise InvalidParameterError("n_gaussians must be >= 1")
     if n_views < 2:
         raise InvalidParameterError("n_views must be >= 2")
+    rng = seeded_rng(seed)
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
-
-    rng = np.random.default_rng(seed)
     scene = random_scene(rng, n_gaussians)
     cameras = ring_cameras(n_views, image_size)
     background = np.zeros(3)
@@ -458,19 +443,7 @@ def make_synthetic(
         out = rasterize(scene, cam, background)
         rel = f"images/view_{k:03d}.ppm"
         write_ppm(out.image, out_dir / rel)
-        entries.append(
-            ManifestEntry(
-                image_path=rel,
-                width=cam.width,
-                height=cam.height,
-                fx=cam.fx,
-                fy=cam.fy,
-                cx=cam.cx,
-                cy=cam.cy,
-                world_to_camera=cam.world_to_camera,
-                split="test" if k % 4 == 3 else "train",
-            )
-        )
+        entries.append(ManifestEntry(rel, cam, "test" if k % 4 == 3 else "train"))
     manifest_path = out_dir / "manifest.txt"
     write_manifest(entries, manifest_path)
     write_ply(scene, out_dir / "scene.ply")
@@ -487,7 +460,7 @@ def perturb_scene(
     rotation_sigma: float = 0.05,
 ) -> GaussianSet:
     """Noisy copy of a scene, the starting point the fine-tuner must recover from."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     n = scene.count
     quats = scene.rotations.astype(np.float64) + rng.normal(0, rotation_sigma, (n, 4))
     sh = scene.sh_coeffs.astype(np.float64).copy()

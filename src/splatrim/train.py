@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SH_COEFFS, Camera, GaussianSet, normalize_quaternions
+from .core import SH_COEFFS, Camera, GaussianSet, normalize_quaternions, seeded_rng
 from .errors import DivergedRunError, EmptySceneError, InvalidParameterError
 from .metrics import LossConfig, psnr, ssim, training_loss
 from .prune import (
@@ -243,9 +243,9 @@ def finetune_step(
 class _ViewCycler:
     """Cycles through dataset views, reshuffling each epoch with a seeded RNG."""
 
-    def __init__(self, n_views: int, rng: np.random.Generator):
+    def __init__(self, n_views: int, seed: int):
         self.n_views = n_views
-        self.rng = rng
+        self.rng = seeded_rng(seed)
         self.order = []
 
     def next(self) -> int:
@@ -320,11 +320,11 @@ def run_iterative_prune(
     """Alternate fine-tuning with prune events, then an extended fine-tune."""
     if not dataset:
         raise InvalidParameterError("dataset is empty")
+    cycler = _ViewCycler(len(dataset), seed)
     total = schedule.interval * schedule.steps + schedule.finetune_iters
     optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), total)
     run = TrainRun()
     report = PruneReport(initial_count=scene.count)
-    cycler = _ViewCycler(len(dataset), np.random.default_rng(seed))
 
     for _ in range(schedule.steps):
         scene, stats = _finetune_loop(
@@ -374,13 +374,13 @@ def one_shot_prune(
         raise InvalidParameterError("dataset is empty")
     # a one-event schedule validates gamma and finetune_iters up front
     PruneSchedule(gamma_target=gamma, steps=1, finetune_iters=finetune_iters)
+    cycler = _ViewCycler(len(dataset), seed)
     run = TrainRun()
     report = PruneReport(initial_count=scene.count)
 
     stats = score_pass(scene, dataset, loss_cfg, render_cfg)
     optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), finetune_iters)
     scene, optimizer = _prune_event(scene, optimizer, stats, criterion, gamma, report, 0)
-    cycler = _ViewCycler(len(dataset), np.random.default_rng(seed))
     scene, _ = _finetune_loop(
         scene, optimizer, dataset, cycler, finetune_iters, loss_cfg, render_cfg, run
     )
@@ -401,9 +401,9 @@ def finetune(
         raise InvalidParameterError("iters must be >= 1")
     if not dataset:
         raise InvalidParameterError("dataset is empty")
+    cycler = _ViewCycler(len(dataset), seed)
     optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), iters)
     run = TrainRun()
-    cycler = _ViewCycler(len(dataset), np.random.default_rng(seed))
     scene, _ = _finetune_loop(
         scene, optimizer, dataset, cycler, iters, loss_cfg, render_cfg, run
     )

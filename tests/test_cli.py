@@ -109,6 +109,22 @@ class TestTrim:
         hist_rows = read_rows(history)
         assert len(hist_rows) == 3
 
+    def test_keep_all_event_reports_minus_inf(self, workspace, tmp_path):
+        # 0.005 of 120 splats rounds down to none removed: the thresholds are
+        # -inf, which keeps everything ("inf" would remove everything)
+        scene, manifest = data_paths(workspace)
+        report = tmp_path / "report.csv"
+        rc = main(
+            ["trim", "--scene", str(scene), "--manifest", str(manifest),
+             "--out-scene", str(tmp_path / "o.ply"), "--gamma-target", "0.005",
+             "--steps", "1", "--interval", "1", "--finetune-iters", "0",
+             "--report", str(report)]
+        )
+        assert rc == 0
+        [row] = read_rows(report)
+        assert row["removed"] == "0"
+        assert (row["opacity_threshold"], row["gradient_threshold"]) == ("-inf", "-inf")
+
     def test_inputs_not_mutated(self, workspace, tmp_path):
         scene, manifest = data_paths(workspace)
         before = sha(scene), sha(manifest)
@@ -292,6 +308,20 @@ class TestTrim:
         assert err.startswith("error: ")
         assert ("--seed" if source == "flag" else "'seed'") in err
         assert not (tmp_path / "o.ply").exists()
+
+    def test_bad_lam_fails_before_loading(self, workspace, tmp_path, capsys, monkeypatch):
+        scene, manifest = data_paths(workspace)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("loaded the scene before checking --lam")
+
+        monkeypatch.setattr(cli, "read_ply", refuse)
+        rc = main(
+            ["trim", "--scene", str(scene), "--manifest", str(manifest),
+             "--out-scene", str(tmp_path / "o.ply"), "--lam", "2"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: lam must be in [0, 1]")
 
     def test_missing_test_split_fails_before_training(
         self, workspace, tmp_path, capsys, monkeypatch
@@ -521,6 +551,21 @@ class TestAblate:
         assert err.startswith("error: --seeds") and seeds in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lam", "2", "lam must be in [0, 1]"),
+        ("--steps", "0", "steps must be >= 1"),
+        ("--interval", "0", "interval must be >= 1"),
+        ("--finetune-iters", "-1", "finetune_iters must be >= 0"),
+    ])
+    def test_bad_setting_fails_before_loading(self, tmp_path, capsys, flag, value, message):
+        rc = main(
+            ["ablate", "--scene", str(tmp_path / "missing.ply"),
+             "--manifest", str(tmp_path / "missing.txt"), "--csv", str(tmp_path / "a.csv"),
+             flag, value]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
 
 class TestParser:
     def test_unknown_flag_rejected(self):
@@ -537,7 +582,7 @@ class TestCsvWrite:
         # a row that fails part-way through leaves the previous CSV in place
         # and no temporary file beside it
         path = tmp_path / "out.csv"
-        cli._write_csv(path, ["a", "b"], [{"a": 1, "b": 2.0}])
+        cli._write_csv(path, [{"a": 1, "b": 2.0}])
         old = path.read_bytes()
 
         def rows():
@@ -545,7 +590,7 @@ class TestCsvWrite:
             raise RuntimeError("interrupted")
 
         with pytest.raises(RuntimeError, match="interrupted"):
-            cli._write_csv(path, ["a", "b"], rows())
+            cli._write_csv(path, rows())
         assert path.read_bytes() == old
         assert list(tmp_path.iterdir()) == [path]
         assert read_rows(path) == [{"a": "1", "b": "2.000000"}]

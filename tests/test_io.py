@@ -8,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from splatrim.core import GaussianSet
-from splatrim.errors import DatasetError, SplatError
+from splatrim.core import Camera, GaussianSet
+from splatrim.errors import DatasetError, InvalidParameterError, SplatError
 from splatrim.metrics import model_size_bytes, psnr
 from splatrim import sceneio
 from splatrim.render import rasterize
@@ -23,6 +23,7 @@ from splatrim.sceneio import (
     PlySchemaError,
     load_dataset,
     make_synthetic,
+    perturb_scene,
     ply_header_bytes,
     quantize_unit_to_u8,
     read_manifest,
@@ -245,10 +246,8 @@ class TestPpm:
 
 class TestManifest:
     def entry(self, rel, split="train"):
-        return ManifestEntry(
-            image_path=rel, width=8, height=8, fx=10.0, fy=10.0, cx=3.5, cy=3.5,
-            world_to_camera=np.eye(4), split=split,
-        )
+        camera = Camera(np.eye(4), fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8)
+        return ManifestEntry(rel, camera, split)
 
     def test_round_trip(self, tmp_path):
         entries = [self.entry("a.ppm"), self.entry("b.ppm", "test")]
@@ -257,7 +256,7 @@ class TestManifest:
         back = read_manifest(path)
         assert [e.image_path for e in back] == ["a.ppm", "b.ppm"]
         assert [e.split for e in back] == ["train", "test"]
-        np.testing.assert_array_equal(back[0].world_to_camera, np.eye(4))
+        np.testing.assert_array_equal(back[0].camera.world_to_camera, np.eye(4))
 
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "manifest.txt"
@@ -308,6 +307,35 @@ class TestManifest:
         [(2, "x", "height"), (3, "nan", "fx"), (5, "inf", "cx"), (10, "1e999", "w2c[3]")],
     )
     def test_bad_number_names_line_and_field(self, tmp_path, column, value, field):
+        path = self.two_views_with(tmp_path, column, value)
+        with pytest.raises(DatasetError, match=re.escape(f"manifest.txt:3: field {field} ")):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (3, "-5.0", "focal lengths must be positive"),
+            (4, "0.0", "focal lengths must be positive"),
+            (1, "0", "image dimensions must be >= 1"),
+            (7, "2.0", "world_to_camera rotation is not orthonormal"),
+        ],
+    )
+    def test_bad_camera_names_its_line_before_decoding(
+        self, tmp_path, monkeypatch, column, value, message
+    ):
+        path = self.two_views_with(tmp_path, column, value)
+        for name in ("a.ppm", "b.ppm"):
+            write_ppm(np.zeros((8, 8, 3)), tmp_path / name)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decoded an image before checking every camera")
+
+        monkeypatch.setattr(sceneio, "read_ppm", refuse)
+        with pytest.raises(DatasetError, match=re.escape(f"manifest.txt:3: {message}")):
+            load_dataset(path)
+
+    def two_views_with(self, tmp_path, column, value):
+        """A two-view manifest whose second view has ``value`` in ``column``."""
         path = tmp_path / "manifest.txt"
         write_manifest([self.entry("a.ppm"), self.entry("b.ppm")], path)
         lines = path.read_text().splitlines()
@@ -315,8 +343,7 @@ class TestManifest:
         parts[column] = value
         lines[2] = " ".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetError, match=re.escape(f"manifest.txt:3: field {field} ")):
-            read_manifest(path)
+        return path
 
     def test_non_ascii_byte_names_its_line(self, tmp_path):
         # a corrupted byte used to escape as a UnicodeDecodeError traceback
@@ -380,6 +407,15 @@ class TestMakeSynthetic:
     def test_positions_inside_unit_cube(self, tmp_path):
         scene, _ = make_synthetic(tmp_path, seed=1, n_gaussians=100, n_views=2, image_size=16)
         assert np.all(np.abs(scene.positions) <= 0.5)
+
+    def test_negative_seed_rejected_before_writing(self, tmp_path):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+            make_synthetic(tmp_path / "out", seed=-1, n_gaussians=10, n_views=2, image_size=8)
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_perturbation_seed_rejected(self):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -2"):
+            perturb_scene(random_scene(0, 3), seed=-2)
 
 
 def corruptions(data: bytes, rng: np.random.Generator, n: int):
@@ -450,10 +486,8 @@ class TestFuzz:
 
     def test_manifest(self, tmp_path):
         path = tmp_path / "manifest.txt"
-        entry = ManifestEntry(
-            image_path="a.ppm", width=8, height=6, fx=10.0, fy=11.0, cx=3.5, cy=2.5,
-            world_to_camera=np.eye(4), split="train",
-        )
+        camera = Camera(np.eye(4), fx=10.0, fy=11.0, cx=3.5, cy=2.5, width=8, height=6)
+        entry = ManifestEntry("a.ppm", camera, "train")
         write_manifest([entry, entry], path)
         valid = path.read_bytes()
         rng = np.random.default_rng(33)
@@ -461,10 +495,8 @@ class TestFuzz:
 
     def test_manifest_non_finite_values(self, tmp_path):
         path = tmp_path / "manifest.txt"
-        entry = ManifestEntry(
-            image_path="a.ppm", width=8, height=6, fx=10.0, fy=11.0, cx=3.5, cy=2.5,
-            world_to_camera=np.eye(4), split="train",
-        )
+        camera = Camera(np.eye(4), fx=10.0, fy=11.0, cx=3.5, cy=2.5, width=8, height=6)
+        entry = ManifestEntry("a.ppm", camera, "train")
         write_manifest([entry], path)
         header, line = path.read_text().splitlines()
         rng = np.random.default_rng(34)
@@ -503,7 +535,8 @@ class TestAtomicWrite:
             np.random.default_rng(seed).random((4, 5, 3)), path
         ),
         "manifest.txt": lambda seed, path: write_manifest(
-            [ManifestEntry("a.ppm", 5, 4, 10.0, 10.0, 2.0, 1.5, np.eye(4), "train")] * seed,
+            [ManifestEntry("a.ppm", Camera(np.eye(4), 10.0, 10.0, 2.0, 1.5, 5, 4), "train")]
+            * seed,
             path,
         ),
     }

@@ -635,7 +635,9 @@ def literal_chain(scene, camera, prep, d_color, d_opacity, d_mean2d, d_conic):
     d_cov2d = -conic @ g @ conic
     p_t = np.swapaxes(proj.p_mat, 1, 2)
     d_sigma3 = p_t @ d_cov2d @ proj.p_mat
-    d_p = (d_cov2d + np.swapaxes(d_cov2d, 1, 2)) @ proj.p_mat @ proj.sigma3
+    m_mat = proj.rot * proj.scales[:, None, :]  # R diag(s)
+    sigma3 = m_mat @ np.swapaxes(m_mat, 1, 2)  # world covariance
+    d_p = (d_cov2d + np.swapaxes(d_cov2d, 1, 2)) @ proj.p_mat @ sigma3
     rot_w2c = camera.world_to_camera[:3, :3]
     d_jac = d_p @ rot_w2c.T
     x, y, z = proj.t_cam.T
@@ -655,7 +657,7 @@ def literal_chain(scene, camera, prep, d_color, d_opacity, d_mean2d, d_conic):
     sh = scene.sh_coeffs[prep.vis_idx].astype(np.float64)
     d_dir = np.einsum("vlc,vc,vlk->vk", sh, d_col, stencil_jacobian(sh_basis, prep.dir_hat, 0.5))
     d_pos = d_t @ rot_w2c + normalize_vjp(prep.dir_hat, prep.dir_len, d_dir)
-    d_m = (d_sigma3 + np.swapaxes(d_sigma3, 1, 2)) @ proj.m_mat
+    d_m = (d_sigma3 + np.swapaxes(d_sigma3, 1, 2)) @ m_mat
     d_rot = d_m * proj.scales[:, None, :]
     rot_jac = stencil_jacobian(quaternion_to_rotation, proj.q_hat, 0.5)  # (V, 3, 3, 4)
     d_q = normalize_vjp(proj.q_hat, proj.q_norm, np.einsum("vij,vijq->vq", d_rot, rot_jac))
@@ -720,29 +722,6 @@ class TestBackwardContractions:
             np.testing.assert_allclose(g[vis], w, rtol=0, atol=1e-12 * np.abs(w).max())
         # the SH product is the same product, bitwise
         np.testing.assert_array_equal(got.sh_coeffs[vis], want["sh_coeffs"])
-
-    def test_per_row_moments_match_scatter_add(self):
-        # the backward's (1, dx, dy, dx^2, dx dy, dy^2) moments per splat
-        rng = np.random.default_rng(12)
-        n_rows, m = 37, 900
-        rows = rng.integers(0, n_rows - 1, m)  # the last row has no pair
-        grad = rng.normal(size=m)
-        dx = rng.normal(size=m) * 4.0
-        dy = rng.normal(size=m) * 4.0
-        values = [grad * p for p in (np.ones(m), dx, dy, dx * dx, dx * dy, dy * dy)]
-        mom = np.zeros((6, n_rows))
-        _add_per_row(mom, rows, values)
-        for got, v in zip(mom, values):
-            want = np.zeros(n_rows)
-            np.add.at(want, rows, v)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-            assert got[-1] == 0.0
-        # sums carried over a split equal the sums in one go, bitwise
-        split = np.zeros((6, n_rows))
-        _add_per_row(split, rows[:400], [v[:400] for v in values])
-        _add_per_row(split, rows[400:], [v[400:] for v in values])
-        np.testing.assert_array_equal(split, mom)
-
 
     def test_per_row_moments_match_scatter_add(self):
         # the backward's (1, dx, dy, dx^2, dx dy, dy^2) moments per splat

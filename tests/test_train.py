@@ -11,6 +11,7 @@ from splatrim.metrics import LossConfig
 from splatrim.prune import PruneCriterion, PruneSchedule, apply_mask
 from splatrim.render import ParamGradients, RenderConfig, rasterize
 from splatrim.sceneio import make_synthetic, load_dataset, perturb_scene
+from splatrim import train
 from splatrim.train import (
     BETA1,
     BETA2,
@@ -383,6 +384,34 @@ class TestOneShot:
         assert it_scene.count == os_scene.count
         np.testing.assert_array_equal(it_scene.positions, os_scene.positions)
         assert it_report.records[0].removed == os_report.records[0].removed
+
+
+class TestNegativeSeed:
+    """A negative seed is an InvalidParameterError before any render."""
+
+    @pytest.fixture
+    def no_render(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rendered before checking the seed")
+
+        monkeypatch.setattr(train, "rasterize", refuse)
+
+    def test_finetune(self, small_dataset, no_render):
+        scene, views = small_dataset
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+            finetune(scene, views, 2, seed=-1)
+
+    def test_run_iterative_prune(self, small_dataset, no_render):
+        scene, views = small_dataset
+        schedule = PruneSchedule(gamma_target=0.5, steps=1, interval=1, finetune_iters=0)
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+            run_iterative_prune(scene, views, schedule, seed=-1)
+
+    def test_one_shot_prune(self, small_dataset, no_render):
+        # before the score pass, which renders every view
+        scene, views = small_dataset
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+            one_shot_prune(scene, views, 0.5, 1, seed=-1)
 
 
 class TestNegativeControl:
