@@ -20,13 +20,14 @@ import numpy as np
 
 from .errors import SplatError
 from .metrics import LossConfig, compression_ratio, model_size_bytes
-from .prune import PruneCriterion, PruneSchedule
+from .prune import PruneCriterion, PruneSchedule, PruneStepRecord
 from .render import rasterize
 from .sceneio import (
     atomic_write, load_dataset, make_synthetic, read_ply, write_ply, write_ppm,
 )
 from .train import (
     BACKGROUND,
+    HistoryEntry,
     OptimizerConfig,
     evaluate,
     load_run_config,
@@ -34,26 +35,15 @@ from .train import (
     run_iterative_prune,
 )
 
-# Keys accepted in a --config file, mapped onto the equivalent trim flags.
-CONFIG_INT_KEYS = ("steps", "interval", "finetune_iters", "seed")
-CONFIG_FLOAT_KEYS = ("gamma_target", "lam")
-CONFIG_STR_KEYS = ("criterion", "preset", "scene", "manifest", "out_scene", "report", "history")
-CONFIG_LR_KEYS = tuple(f.name for f in fields(OptimizerConfig))
-
 PRESETS = {
     "desk": {"interval": 50, "steps": 10, "finetune_iters": 1000},
     "paper": {"interval": 500, "steps": 10, "finetune_iters": 10000},
 }
 
-CRITERIA = {
-    "gradient": PruneCriterion.GRADIENT_AWARE,
-    "opacity": PruneCriterion.OPACITY_ONLY,
-}
-
 # Run settings used where neither a flag nor a --config file sets them.
 RUN_DEFAULTS = {
     "gamma_target": 0.5,
-    "criterion": "gradient",
+    "criterion": PruneCriterion.GRADIENT_AWARE.value,
     "preset": "desk",
     "lam": 0.2,
     "seed": 0,
@@ -103,41 +93,56 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _config_value(key: str, text: str, path):
-    names = {"criterion": CRITERIA, "preset": PRESETS}.get(key)
-    if names is not None and text not in names:
-        raise SplatError(
-            f"config key {key!r} in {path}: {text!r} is not one of {', '.join(sorted(names))}"
-        )
-    kind = str
-    if key in CONFIG_INT_KEYS:
-        kind = int
-    elif key in CONFIG_FLOAT_KEYS + CONFIG_LR_KEYS:
-        kind = float
+def _config_value(key: str, text: str, path, flag: argparse.Action | None):
+    """A --config value, converted and checked as its trim ``flag`` would;
+    a learning rate, which has no flag, is a float."""
+    kind = float if flag is None else flag.type or str
     try:
         value = kind(text)
     except ValueError:
         raise SplatError(
             f"config key {key!r} in {path}: {text!r} is not a valid {kind.__name__}"
         ) from None
+    if flag is not None and flag.choices is not None and value not in flag.choices:
+        raise SplatError(
+            f"config key {key!r} in {path}: {text!r} is not one of {', '.join(flag.choices)}"
+        )
     if key == "seed":
         _check_seed(value, f"config key 'seed' in {path}")
     return value
 
 
 def _apply_run_config(args) -> OptimizerConfig | None:
-    """Fill the trim settings no flag set: from --config first, then RUN_DEFAULTS."""
+    """Fill the trim settings no flag set: from --config first, then RUN_DEFAULTS.
+
+    A config key is the ``dest`` of a trim flag (``args.settings``) or an
+    ``OptimizerConfig`` field.
+    """
     config = load_run_config(args.config) if args.config else {}
-    known = set(CONFIG_INT_KEYS + CONFIG_FLOAT_KEYS + CONFIG_STR_KEYS + CONFIG_LR_KEYS)
+    known = set(args.settings) | {f.name for f in fields(OptimizerConfig)}
     unknown = sorted(set(config) - known)
     if unknown:
         raise SplatError(f"unknown config key {unknown[0]!r} in {args.config}")
-    values = {key: _config_value(key, text, args.config) for key, text in config.items()}
-    lr_overrides = {k: values.pop(k) for k in CONFIG_LR_KEYS if k in values}
+    values = {k: _config_value(k, v, args.config, args.settings.get(k)) for k, v in config.items()}
+    lr_overrides = {k: values.pop(k) for k in list(values) if k not in args.settings}
     for key, value in {**RUN_DEFAULTS, **values}.items():
         if getattr(args, key) is None:
             setattr(args, key, value)
     return OptimizerConfig(**lr_overrides) if lr_overrides else None
+
+
+def _check_outputs(outputs: dict, inputs) -> None:
+    """Refuse, before any work, an output path that names one of the inputs
+    or sits in a directory that does not exist; ``None`` outputs are unset."""
+    sources = {Path(p).resolve(): p for p in inputs}
+    for flag, out in outputs.items():
+        if out is None:
+            continue
+        src = sources.get(Path(out).resolve())
+        if src is not None:
+            raise SplatError(f"output {out} would overwrite the input {src}")
+        if not Path(out).parent.is_dir():
+            raise SplatError(f"{flag} {out}: directory {Path(out).parent} does not exist")
 
 
 def cmd_trim(args) -> int:
@@ -149,19 +154,13 @@ def cmd_trim(args) -> int:
     loss_cfg = LossConfig(lam=args.lam)
     schedule = PruneSchedule(
         gamma_target=args.gamma_target,
-        criterion=CRITERIA[args.criterion],
+        criterion=PruneCriterion(args.criterion),
         **_schedule_fields(args, args.preset),
     )
-    inputs = {Path(p).resolve(): p for p in (args.scene, args.manifest)}
-    outputs = {"--out-scene": args.out_scene, "--report": args.report, "--history": args.history}
-    for flag, out in outputs.items():
-        if out is None:
-            continue
-        src = inputs.get(Path(out).resolve())
-        if src is not None:
-            raise SplatError(f"output {out} would overwrite the input {src}")
-        if not Path(out).parent.is_dir():
-            raise SplatError(f"{flag} {out}: directory {Path(out).parent} does not exist")
+    _check_outputs(
+        {"--out-scene": args.out_scene, "--report": args.report, "--history": args.history},
+        (args.scene, args.manifest),
+    )
     # resolve every input before the long run
     scene = read_ply(args.scene)
     baseline_bytes = model_size_bytes(scene)
@@ -189,8 +188,6 @@ def cmd_trim(args) -> int:
 def cmd_render(args) -> int:
     scene = read_ply(args.scene)
     views = load_dataset(args.manifest, split=None if args.split == "all" else args.split)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.view is not None:
         if not 0 <= args.view < len(views):
             raise SplatError(f"view index {args.view} out of range (0..{len(views) - 1})")
@@ -198,6 +195,8 @@ def cmd_render(args) -> int:
         indices = [args.view]
     else:
         indices = range(len(views))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for idx, (camera, _) in zip(indices, views):
         image = rasterize(scene, camera, BACKGROUND).image
         path = out_dir / f"render_{idx:03d}.ppm"
@@ -207,6 +206,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_outputs({"--csv": args.csv}, [*args.scene, args.baseline, args.manifest])
     baseline = read_ply(args.baseline)
     views = load_dataset(args.manifest, split=args.split)
     baseline_bytes = model_size_bytes(baseline)
@@ -237,6 +237,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _check_outputs({"--csv": args.csv}, filter(None, (args.scene, args.compare)))
     bins = np.linspace(0.0, 1.0, 51)
     scenes = [("scene", read_ply(args.scene))]
     if args.compare:
@@ -280,6 +281,7 @@ def cmd_ablate(args) -> int:
     # the flags' schedule, checked before loading; each variant sets its gamma and criterion
     schedule = PruneSchedule(gamma_target=0.0, **_schedule_fields(args, "desk"))
     loss_cfg = LossConfig(lam=args.lam)
+    _check_outputs({"--csv": args.csv}, (args.scene, args.manifest))
     scene = read_ply(args.scene)
     train_views = load_dataset(args.manifest, split="train")
     test_views = load_dataset(args.manifest, split="test")
@@ -288,7 +290,7 @@ def cmd_ablate(args) -> int:
     for gamma in gammas:
         for seed in seeds:
             for mode in ("iterative", "oneshot"):
-                for crit_name, criterion in CRITERIA.items():
+                for criterion in PruneCriterion:
                     start = time.perf_counter()
                     if mode == "iterative":
                         pruned, _, _ = run_iterative_prune(
@@ -304,7 +306,7 @@ def cmd_ablate(args) -> int:
                     quality = evaluate(pruned, test_views)
                     rows.append(
                         {
-                            "variant": f"{mode}-{crit_name}",
+                            "variant": f"{mode}-{criterion.value}",
                             "gamma": gamma,
                             "seed": seed,
                             "psnr": quality["psnr"],
@@ -341,31 +343,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=64)
     p.set_defaults(func=cmd_synth)
 
+    report_columns = [f.name for f in fields(PruneStepRecord)] + ["achieved_sparsity"]
     p = sub.add_parser(
         "trim",
         help="iteratively prune and fine-tune a scene",
-        epilog="Report CSV columns: iteration,gamma_iter,kept,removed,"
-        "opacity_threshold,gradient_threshold,achieved_sparsity. "
-        "History CSV columns: iteration,loss,psnr,count. A --config file "
-        "holds flat 'key value' lines (schedule, learning rates, seed, "
-        "paths); explicit flags take precedence.",
+        epilog=f"Report CSV columns: {','.join(report_columns)}. "
+        f"History CSV columns: {','.join(f.name for f in fields(HistoryEntry))}. "
+        "A --config file holds flat 'key value' lines (schedule, learning "
+        "rates, seed, paths); explicit flags take precedence.",
     )
-    p.add_argument("--scene")
-    p.add_argument("--manifest")
-    p.add_argument("--out-scene", dest="out_scene")
-    p.add_argument("--config", help="flat key-value run configuration file")
-    p.add_argument("--report")
-    p.add_argument("--history")
-    # No defaults here: unset flags come from --config, then RUN_DEFAULTS.
-    p.add_argument("--gamma-target", type=float)
-    p.add_argument("--criterion", choices=sorted(CRITERIA))
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--steps", type=int)
-    p.add_argument("--interval", type=int)
-    p.add_argument("--finetune-iters", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_trim)
+    # Each flag but --config is a run setting whose dest is also a --config
+    # key. No defaults here: unset settings come from --config, then RUN_DEFAULTS.
+    flags = [
+        p.add_argument("--scene"),
+        p.add_argument("--manifest"),
+        p.add_argument("--out-scene", dest="out_scene"),
+        p.add_argument("--config", help="flat key-value run configuration file"),
+        p.add_argument("--report"),
+        p.add_argument("--history"),
+        p.add_argument("--gamma-target", type=float),
+        p.add_argument("--criterion", choices=[c.value for c in PruneCriterion]),
+        p.add_argument("--preset", choices=sorted(PRESETS)),
+        p.add_argument("--steps", type=int),
+        p.add_argument("--interval", type=int),
+        p.add_argument("--finetune-iters", type=int),
+        p.add_argument("--lam", type=float),
+        p.add_argument("--seed", type=int),
+    ]
+    p.set_defaults(func=cmd_trim, settings={a.dest: a for a in flags if a.dest != "config"})
 
     p = sub.add_parser("render", help="render dataset views to PPM files")
     p.add_argument("--scene", required=True)
@@ -424,10 +429,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SplatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SplatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,7 +36,6 @@ SH_C3 = (
 )
 
 SH_COEFFS = 16  # degree 3
-PARAMS_PER_GAUSSIAN = 59  # 3 pos + 4 rot + 3 scale + 1 opacity + 48 SH
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:

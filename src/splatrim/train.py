@@ -10,7 +10,9 @@ every optimizer step of all three pipelines.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -240,38 +242,40 @@ def finetune_step(
     )
 
 
-class _ViewCycler:
-    """Cycles through dataset views, reshuffling each epoch with a seeded RNG."""
+def _cycled_views(
+    dataset: list[tuple[Camera, np.ndarray]], seed: int
+) -> Iterator[tuple[Camera, np.ndarray]]:
+    """Endless ``(camera, target)`` pairs, every view once per epoch in a
+    seeded shuffle. The dataset and the seed are checked now, not at the
+    first draw."""
+    if not dataset:
+        raise InvalidParameterError("dataset is empty")
+    rng = seeded_rng(seed)
 
-    def __init__(self, n_views: int, seed: int):
-        self.n_views = n_views
-        self.rng = seeded_rng(seed)
-        self.order = []
+    def cycle():
+        while True:
+            for i in rng.permutation(len(dataset)):
+                yield dataset[i]
 
-    def next(self) -> int:
-        if not self.order:
-            self.order = list(self.rng.permutation(self.n_views))
-        return int(self.order.pop(0))
+    return cycle()
 
 
 def _finetune_loop(
     scene: GaussianSet,
     optimizer: OptimizerState,
-    dataset: list[tuple[Camera, np.ndarray]],
-    cycler: _ViewCycler,
+    views: Iterator[tuple[Camera, np.ndarray]],
     iters: int,
     loss_cfg: LossConfig | None,
     render_cfg: RenderConfig | None,
     run: TrainRun,
     stats: GradientStats | None = None,
 ) -> tuple[GaussianSet, GradientStats | None]:
-    """``iters`` optimizer steps on cycled views, each logged to ``run``.
+    """``iters`` optimizer steps on the next ``iters`` views, each logged to ``run``.
 
     Pass ``stats`` when a prune event follows: each step's gradient norms
     are added to it and the updated stats are returned.
     """
-    for _ in range(iters):
-        camera, target = dataset[cycler.next()]
+    for camera, target in islice(views, iters):
         result = finetune_step(scene, optimizer, camera, target, loss_cfg, render_cfg)
         scene = result.scene
         if stats is not None:
@@ -318,9 +322,7 @@ def run_iterative_prune(
     render_cfg: RenderConfig | None = None,
 ) -> tuple[GaussianSet, PruneReport, TrainRun]:
     """Alternate fine-tuning with prune events, then an extended fine-tune."""
-    if not dataset:
-        raise InvalidParameterError("dataset is empty")
-    cycler = _ViewCycler(len(dataset), seed)
+    views = _cycled_views(dataset, seed)
     total = schedule.interval * schedule.steps + schedule.finetune_iters
     optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), total)
     run = TrainRun()
@@ -328,7 +330,7 @@ def run_iterative_prune(
 
     for _ in range(schedule.steps):
         scene, stats = _finetune_loop(
-            scene, optimizer, dataset, cycler, schedule.interval, loss_cfg, render_cfg,
+            scene, optimizer, views, schedule.interval, loss_cfg, render_cfg,
             run, GradientStats.zeros(scene.count),
         )
         scene, optimizer = _prune_event(
@@ -336,7 +338,7 @@ def run_iterative_prune(
             len(run.history),
         )
     scene, _ = _finetune_loop(
-        scene, optimizer, dataset, cycler, schedule.finetune_iters, loss_cfg, render_cfg, run
+        scene, optimizer, views, schedule.finetune_iters, loss_cfg, render_cfg, run
     )
     return scene, report, run
 
@@ -370,20 +372,16 @@ def one_shot_prune(
     render_cfg: RenderConfig | None = None,
 ) -> tuple[GaussianSet, PruneReport, TrainRun]:
     """Prune the full target fraction in one event, then fine-tune."""
-    if not dataset:
-        raise InvalidParameterError("dataset is empty")
+    views = _cycled_views(dataset, seed)
     # a one-event schedule validates gamma and finetune_iters up front
     PruneSchedule(gamma_target=gamma, steps=1, finetune_iters=finetune_iters)
-    cycler = _ViewCycler(len(dataset), seed)
     run = TrainRun()
     report = PruneReport(initial_count=scene.count)
 
     stats = score_pass(scene, dataset, loss_cfg, render_cfg)
     optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), finetune_iters)
     scene, optimizer = _prune_event(scene, optimizer, stats, criterion, gamma, report, 0)
-    scene, _ = _finetune_loop(
-        scene, optimizer, dataset, cycler, finetune_iters, loss_cfg, render_cfg, run
-    )
+    scene, _ = _finetune_loop(scene, optimizer, views, finetune_iters, loss_cfg, render_cfg, run)
     return scene, report, run
 
 
@@ -399,14 +397,10 @@ def finetune(
     """Pure fine-tuning: ``iters`` optimizer steps with no prune event."""
     if iters < 1:
         raise InvalidParameterError("iters must be >= 1")
-    if not dataset:
-        raise InvalidParameterError("dataset is empty")
-    cycler = _ViewCycler(len(dataset), seed)
+    views = _cycled_views(dataset, seed)
     optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), iters)
     run = TrainRun()
-    scene, _ = _finetune_loop(
-        scene, optimizer, dataset, cycler, iters, loss_cfg, render_cfg, run
-    )
+    scene, _ = _finetune_loop(scene, optimizer, views, iters, loss_cfg, render_cfg, run)
     return scene, run
 
 

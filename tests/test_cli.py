@@ -2,13 +2,15 @@
 
 import csv
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from splatrim import cli
-from splatrim.cli import main
+from splatrim.cli import build_parser, main
+from splatrim.errors import SplatError
 from splatrim.sceneio import read_ply
 
 
@@ -348,6 +350,58 @@ class TestTrim:
         assert "no test views" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_every_flag_is_a_config_key(self, tmp_path):
+        # each trim flag's dest (but --config) is a --config key whose value
+        # converts and fails exactly as the flag's does
+        parser = build_parser()
+        unset = parser.parse_args(["trim"])
+        dests = set(vars(unset)) - {"command", "func", "settings", "config"}
+        assert dests == set(unset.settings)
+        refused = object()
+        cfg = tmp_path / "run.cfg"
+        for dest in sorted(dests):
+            for text in ("3", "0.25", "opacity", "paper", "x.ply"):
+                try:
+                    by_flag = getattr(
+                        parser.parse_args(["trim", "--" + dest.replace("_", "-"), text]), dest
+                    )
+                except SystemExit:
+                    by_flag = refused
+                cfg.write_text(f"{dest} {text}\n")
+                args = parser.parse_args(["trim", "--config", str(cfg)])
+                try:
+                    cli._apply_run_config(args)
+                    by_config = getattr(args, dest)
+                except SplatError:
+                    by_config = refused
+                assert by_config == by_flag and type(by_config) is type(by_flag), (dest, text)
+        for key in ("config", "help"):
+            cfg.write_text(f"{key} 1\n")
+            args = parser.parse_args(["trim", "--config", str(cfg)])
+            with pytest.raises(SplatError, match=f"unknown config key '{key}'"):
+                cli._apply_run_config(args)
+
+    def test_help_names_the_written_columns(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # one epilog line, no word broken
+        with pytest.raises(SystemExit):
+            main(["trim", "--help"])
+        epilog = capsys.readouterr().out
+        named = {
+            kind: re.search(rf"{kind} CSV columns: (\S+)\.", epilog).group(1).split(",")
+            for kind in ("Report", "History")
+        }
+        scene, manifest = data_paths(workspace)
+        report, history = tmp_path / "report.csv", tmp_path / "history.csv"
+        rc = main(
+            ["trim", "--scene", str(scene), "--manifest", str(manifest),
+             "--out-scene", str(tmp_path / "o.ply"), "--report", str(report),
+             "--history", str(history), "--steps", "1", "--interval", "1",
+             "--finetune-iters", "1"]
+        )
+        assert rc == 0
+        assert named["Report"] == list(read_rows(report)[0])
+        assert named["History"] == list(read_rows(history)[0])
+
 
 class TestRender:
     def test_renders_are_deterministic(self, workspace, tmp_path):
@@ -371,12 +425,14 @@ class TestRender:
 
     def test_bad_view_index(self, workspace, tmp_path, capsys):
         scene, manifest = data_paths(workspace)
+        out = tmp_path / "fresh"
         rc = main(
             ["render", "--scene", str(scene), "--manifest", str(manifest),
-             "--out", str(tmp_path), "--view", "99"]
+             "--out", str(out), "--view", "99"]
         )
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
+        assert not out.exists()  # checked before the output directory is made
 
     @pytest.mark.parametrize("column, value", [(2, "x"), (3, "nan")])
     def test_malformed_manifest_fails_cleanly(self, workspace, tmp_path, capsys, column, value):
@@ -444,6 +500,23 @@ class TestEval:
         row = read_rows(out_csv)[0]
         assert float(row["compression"]) > 1.5
 
+    @pytest.mark.parametrize("role", ["--scene", "--baseline", "--manifest"])
+    def test_csv_naming_an_input_is_refused(self, workspace, tmp_path, capsys, role):
+        scene, manifest = data_paths(workspace)
+        inputs = {"--scene": scene, "--baseline": scene, "--manifest": manifest}
+        original = inputs[role]
+        inputs[role] = tmp_path / original.name
+        inputs[role].write_bytes(original.read_bytes())
+        before = sha(inputs[role])
+        argv = ["eval", "--csv", str(inputs[role])]
+        for flag, path in inputs.items():
+            argv += [flag, str(path)]
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overwrite" in err
+        assert sha(inputs[role]) == before
+
 
 class TestStats:
     def test_single_occupied_bin_for_equal_opacities(self, tmp_path):
@@ -480,6 +553,22 @@ class TestStats:
         rows = read_rows(out_csv)
         assert set(rows[0].keys()) == {"bin_lo", "bin_hi", "scene", "compare"}
         assert [r["scene"] for r in rows] == [r["compare"] for r in rows]
+
+    @pytest.mark.parametrize("role", ["--scene", "--compare"])
+    def test_csv_naming_a_scene_is_refused(self, workspace, tmp_path, capsys, role):
+        scene, _ = data_paths(workspace)
+        inputs = {"--scene": scene, "--compare": scene}
+        inputs[role] = tmp_path / "scene.ply"
+        inputs[role].write_bytes(scene.read_bytes())
+        before = sha(inputs[role])
+        argv = ["stats", "--csv", str(inputs[role])]
+        for flag, path in inputs.items():
+            argv += [flag, str(path)]
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overwrite" in err
+        assert sha(inputs[role]) == before
 
 
 class TestAblate:
@@ -565,6 +654,25 @@ class TestAblate:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+    def test_missing_csv_directory_fails_before_the_grid(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        scene, manifest = data_paths(workspace)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the grid before checking --csv")
+
+        monkeypatch.setattr(cli, "run_iterative_prune", refuse)
+        rc = main(
+            ["ablate", "--scene", str(scene), "--manifest", str(manifest),
+             "--csv", str(tmp_path / "nodir" / "a.csv"), "--steps", "1",
+             "--interval", "1", "--finetune-iters", "0"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --csv") and "nodir" in err
 
 
 class TestParser:
