@@ -37,6 +37,17 @@ SH_C3 = (
 
 SH_COEFFS = 16  # degree 3
 
+# The per-splat arrays of a scene, in order, each with the shape of one
+# splat's row. Scene checks, empty scenes, prune masks, gradients and Adam's
+# groups all iterate this table.
+PARAMETERS = {
+    "positions": (3,),
+    "rotations": (4,),
+    "log_scales": (3,),
+    "opacity_logits": (),
+    "sh_coeffs": (SH_COEFFS, 3),
+}
+
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
@@ -61,14 +72,8 @@ class GaussianSet:
 
     def __post_init__(self):
         n = self.positions.shape[0]
-        expected = {
-            "positions": (n, 3),
-            "rotations": (n, 4),
-            "log_scales": (n, 3),
-            "opacity_logits": (n,),
-            "sh_coeffs": (n, SH_COEFFS, 3),
-        }
-        for name, shape in expected.items():
+        for name, row in PARAMETERS.items():
+            shape = (n, *row)
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise InvalidParameterError(
@@ -89,11 +94,7 @@ class GaussianSet:
     @staticmethod
     def empty() -> "GaussianSet":
         return GaussianSet(
-            positions=np.zeros((0, 3), np.float32),
-            rotations=np.zeros((0, 4), np.float32),
-            log_scales=np.zeros((0, 3), np.float32),
-            opacity_logits=np.zeros((0,), np.float32),
-            sh_coeffs=np.zeros((0, SH_COEFFS, 3), np.float32),
+            **{name: np.zeros((0, *row), np.float32) for name, row in PARAMETERS.items()}
         )
 
 
@@ -112,7 +113,6 @@ class Camera:
     cy: float
     width: int
     height: int
-    near_clip: float = 0.1
 
     def __post_init__(self):
         w2c = np.asarray(self.world_to_camera, np.float64)
@@ -125,11 +125,8 @@ class Camera:
         if self.width < 1 or self.height < 1:
             raise InvalidParameterError("image dimensions must be >= 1")
         _require_finite("intrinsics", np.array([self.fx, self.fy, self.cx, self.cy]))
-        _require_finite("near_clip", np.array(self.near_clip))
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidParameterError("focal lengths must be positive")
-        if self.near_clip <= 0:
-            raise InvalidParameterError("near_clip must be positive")
         object.__setattr__(self, "world_to_camera", w2c)
 
     @property

@@ -108,10 +108,10 @@ class _SsimState:
 
 
 def _ssim_inputs(rendered, target) -> tuple[np.ndarray, np.ndarray]:
-    """Both images checked and as (H, W, C), each side at least the SSIM window."""
+    """Both images checked: (H, W, C), each side at least the SSIM window."""
     rendered, target = _check_pair(rendered, target)
-    if rendered.ndim == 2:
-        rendered, target = rendered[..., None], target[..., None]
+    if rendered.ndim != 3:
+        raise InvalidParameterError(f"SSIM takes (H, W, C) images, got shape {rendered.shape}")
     h, w = rendered.shape[:2]
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise InvalidParameterError("image smaller than the SSIM window")
@@ -129,7 +129,6 @@ def ssim(rendered: np.ndarray, target: np.ndarray) -> float:
 
 def dssim_loss(rendered: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Structural dissimilarity (1 - SSIM) / 2 and its gradient."""
-    squeeze = np.ndim(rendered) == 2
     rendered, target = _ssim_inputs(rendered, target)
     h, w, channels = rendered.shape
     grad = np.zeros_like(rendered)
@@ -141,7 +140,7 @@ def dssim_loss(rendered: np.ndarray, target: np.ndarray) -> tuple[float, np.ndar
         mean_ssim += float(np.mean(state.map)) / channels
         grad[..., c] = state.backward(d_map)
     value = (1.0 - mean_ssim) / 2.0
-    return value, grad[..., 0] if squeeze else grad
+    return value, grad
 
 
 def training_loss(

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import GaussianSet
+from .core import PARAMETERS, GaussianSet
 from .errors import InvalidParameterError
 
 KEEP_ALL_THRESHOLD = -math.inf
@@ -35,10 +35,7 @@ class PruneSchedule:
     finetune_iters: int = 1000
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma_target < 1.0:
-            raise InvalidParameterError("gamma_target must be in [0, 1)")
-        if self.steps < 1:
-            raise InvalidParameterError("steps must be >= 1")
+        per_iteration_fraction(self.gamma_target, self.steps)
         if self.interval < 1:
             raise InvalidParameterError("interval must be >= 1")
         if self.finetune_iters < 0:
@@ -161,13 +158,8 @@ def apply_mask(gaussians: GaussianSet, keep: np.ndarray) -> GaussianSet:
         raise InvalidParameterError(
             f"mask length {keep.shape} does not match count {gaussians.count}"
         )
+    raw = gaussians.rotations_raw
     return GaussianSet(
-        positions=gaussians.positions[keep],
-        rotations=gaussians.rotations[keep],
-        log_scales=gaussians.log_scales[keep],
-        opacity_logits=gaussians.opacity_logits[keep],
-        sh_coeffs=gaussians.sh_coeffs[keep],
-        rotations_raw=None
-        if gaussians.rotations_raw is None
-        else gaussians.rotations_raw[keep],
+        **{name: getattr(gaussians, name)[keep] for name in PARAMETERS},
+        rotations_raw=None if raw is None else raw[keep],
     )

@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    PARAMETERS,
     Camera,
     GaussianSet,
     SH_C1,
@@ -40,6 +41,7 @@ from .core import (
 )
 from .errors import InvalidParameterError, InvalidStateError
 
+NEAR_CLIP = 0.1     # camera-space depth below which a splat is culled
 LOWPASS = 0.3       # px^2 added to the 2D covariance diagonal
 ALPHA_CLAMP = 0.99  # largest alpha a splat composites with
 
@@ -94,13 +96,7 @@ class ParamGradients:
 
     @staticmethod
     def zeros(n: int) -> "ParamGradients":
-        return ParamGradients(
-            positions=np.zeros((n, 3)),
-            rotations=np.zeros((n, 4)),
-            log_scales=np.zeros((n, 3)),
-            opacity_logits=np.zeros(n),
-            sh_coeffs=np.zeros((n, SH_COEFFS, 3)),
-        )
+        return ParamGradients(**{name: np.zeros((n, *row)) for name, row in PARAMETERS.items()})
 
 
 @dataclass
@@ -169,7 +165,7 @@ def project(
     t_cam = pos @ rot_w2c.T + w2c[:3, 3]
     z = t_cam[:, 2]
 
-    in_front = z >= camera.near_clip
+    in_front = z >= NEAR_CLIP
     safe_z = np.where(z > 1e-12, z, 1.0)
 
     mean2d = np.zeros((n, 2))

@@ -23,6 +23,9 @@ from .errors import DatasetError, InvalidParameterError, SplatError
 FLOATS_PER_VERTEX = 62
 BYTES_PER_VERTEX = 4 * FLOATS_PER_VERTEX
 
+RING_RADIUS = 4.0              # distance of ``ring_cameras`` from the origin
+PERTURB_ROTATION_SIGMA = 0.05  # quaternion noise of ``perturb_scene``
+
 PLY_PROPERTIES = (
     ["x", "y", "z", "nx", "ny", "nz"]
     + [f"f_dc_{i}" for i in range(3)]
@@ -369,7 +372,6 @@ def _look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.nda
 def ring_cameras(
     n_views: int,
     image_size: int,
-    radius: float = 4.0,
     focal_scale: float = 1.4,
 ) -> list[Camera]:
     """Cameras spaced on a ring around the origin, all looking at it."""
@@ -379,7 +381,7 @@ def ring_cameras(
     for k in range(n_views):
         angle = 2.0 * math.pi * k / n_views
         height = 0.6 * math.sin(2.0 * angle + 0.5)
-        pos = np.array([radius * math.cos(angle), radius * math.sin(angle), height])
+        pos = np.array([RING_RADIUS * math.cos(angle), RING_RADIUS * math.sin(angle), height])
         cams.append(
             Camera(
                 world_to_camera=_look_at(pos, np.zeros(3), np.array([0.0, 0.0, 1.0])),
@@ -457,12 +459,11 @@ def perturb_scene(
     scale_sigma: float = 0.1,
     opacity_sigma: float = 0.4,
     color_sigma: float = 0.15,
-    rotation_sigma: float = 0.05,
 ) -> GaussianSet:
     """Noisy copy of a scene, the starting point the fine-tuner must recover from."""
     rng = seeded_rng(seed)
     n = scene.count
-    quats = scene.rotations.astype(np.float64) + rng.normal(0, rotation_sigma, (n, 4))
+    quats = scene.rotations.astype(np.float64) + rng.normal(0, PERTURB_ROTATION_SIGMA, (n, 4))
     sh = scene.sh_coeffs.astype(np.float64).copy()
     sh[:, 0, :] += rng.normal(0, color_sigma, (n, 3))
     sh[:, 1:, :] += rng.normal(0, color_sigma / 10.0, (n, 15, 3))

@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import SH_COEFFS, Camera, GaussianSet, normalize_quaternions, seeded_rng
+from .core import PARAMETERS, SH_COEFFS, Camera, GaussianSet, normalize_quaternions, seeded_rng
 from .errors import DivergedRunError, EmptySceneError, InvalidParameterError
 from .metrics import LossConfig, psnr, ssim, training_loss
 from .prune import (
@@ -56,9 +56,6 @@ class OptimizerConfig:
     rotation_lr: float = 1e-3
 
 
-_GROUPS = ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs")
-
-
 @dataclass
 class OptimizerState:
     """Adam moments, congruent with the scene and filtered jointly on prune."""
@@ -77,10 +74,9 @@ class OptimizerState:
     @staticmethod
     def create(scene: GaussianSet, config: OptimizerConfig, total_steps: int) -> "OptimizerState":
         state = OptimizerState(config=config, total_steps=max(total_steps, 1))
-        for name in _GROUPS:
-            arr = getattr(scene, name)
-            state.moments1[name] = np.zeros(arr.shape, np.float64)
-            state.moments2[name] = np.zeros(arr.shape, np.float64)
+        for name, row in PARAMETERS.items():
+            state.moments1[name] = np.zeros((scene.count, *row))
+            state.moments2[name] = np.zeros((scene.count, *row))
         return state
 
     def position_lr(self, step: int | None = None) -> float:
@@ -122,7 +118,7 @@ class OptimizerState:
         bias1 = 1.0 - BETA1**step
         bias2 = 1.0 - BETA2**step
         new_arrays = {}
-        for name in _GROUPS:
+        for name in PARAMETERS:
             grad = getattr(grads, name)
             work = self._work.get(name)
             if work is None or work[0].shape != grad.shape:

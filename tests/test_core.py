@@ -1,11 +1,14 @@
 """Scene containers and the shared geometric/activation math."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from splatrim.core import (
+    PARAMETERS,
     Camera,
     GaussianSet,
     SH_C0,
@@ -16,6 +19,7 @@ from splatrim.core import (
     sh_to_color,
 )
 from splatrim.errors import InvalidParameterError
+from splatrim.render import ParamGradients
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -205,6 +209,28 @@ class TestGaussianSet:
                 sh_coeffs=np.zeros((3, 16, 3), np.float32),
             )
 
+    def test_fields_are_the_parameter_table(self):
+        fields = [f.name for f in dataclasses.fields(GaussianSet)]
+        assert fields == [*PARAMETERS, "rotations_raw"]
+        assert [f.name for f in dataclasses.fields(ParamGradients)] == list(PARAMETERS)
+
+    def test_empty_scene_and_zero_gradients_have_the_table_rows(self):
+        scene, grads = GaussianSet.empty(), ParamGradients.zeros(3)
+        for name, row in PARAMETERS.items():
+            assert getattr(scene, name).shape == (0, *row)
+            assert getattr(scene, name).dtype == np.float32
+            assert getattr(grads, name).shape == (3, *row)
+            assert getattr(grads, name).dtype == np.float64
+            assert not getattr(grads, name).any()
+
+    @pytest.mark.parametrize("name", list(PARAMETERS))
+    def test_shape_error_names_the_array(self, name):
+        arrays = {k: np.zeros((3, *row), np.float32) for k, row in PARAMETERS.items()}
+        arrays[name] = np.zeros((3, 5), np.float32)
+        expected = f"{name} has shape (3, 5), expected {(3, *PARAMETERS[name])}"
+        with pytest.raises(InvalidParameterError, match=re.escape(expected)):
+            GaussianSet(**arrays)
+
     def test_activated_opacities_in_open_interval(self):
         rng = np.random.default_rng(12)
         n = 50
@@ -248,16 +274,14 @@ class TestCamera:
             {"fy": 0.0},
             {"width": 0},
             {"height": 0},
-            {"near_clip": 0.0},
             {"fx": math.nan},
             {"fy": math.inf},
             {"cx": math.inf},
             {"cy": math.nan},
-            {"near_clip": math.nan},
         ],
     )
     def test_invalid_intrinsics_rejected(self, kwargs):
-        base = dict(fx=50.0, fy=50.0, cx=31.5, cy=31.5, width=64, height=64, near_clip=0.1)
+        base = dict(fx=50.0, fy=50.0, cx=31.5, cy=31.5, width=64, height=64)
         base.update(kwargs)
         with pytest.raises(InvalidParameterError):
             Camera(np.eye(4), **base)

@@ -1,6 +1,7 @@
 """Loss terms, their gradients, and the evaluation metrics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,13 @@ class TestDssim:
     def test_too_small_image_rejected(self):
         with pytest.raises(InvalidParameterError):
             dssim_loss(np.zeros((8, 8, 3)), np.zeros((8, 8, 3)))
+
+    @pytest.mark.parametrize("fn", [ssim, dssim_loss, training_loss])
+    @pytest.mark.parametrize("shape", [(16,), (16, 16), (2, 16, 16, 3)])
+    def test_only_hwc_images_accepted(self, fn, shape):
+        a, b = random_pair(10, shape)
+        with pytest.raises(InvalidParameterError, match=re.escape(f"got shape {shape}")):
+            fn(a, b)
 
 
 class TestTrainingLoss:

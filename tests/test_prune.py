@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from splatrim.core import GaussianSet
+from splatrim.core import PARAMETERS, GaussianSet
 from splatrim.errors import InvalidParameterError
 from splatrim.prune import (
     PruneCriterion,
@@ -193,8 +193,9 @@ class TestApplyMask:
     def test_all_true_is_identity(self):
         g = small_scene(6)
         out = apply_mask(g, np.ones(6, bool))
-        for name in ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs"):
+        for name in PARAMETERS:
             np.testing.assert_array_equal(getattr(out, name), getattr(g, name))
+        assert out.rotations_raw is None
 
     def test_all_false_is_empty(self):
         g = small_scene(6)
@@ -208,10 +209,14 @@ class TestApplyMask:
         np.testing.assert_array_equal(out.positions, g.positions[[0, 2, 4]])
 
     def test_survivors_bitwise_preserved(self):
+        # every per-splat array keeps the same rows, and so do a loaded
+        # file's raw quaternions
         g = small_scene(100, seed=5)
+        raw = np.random.default_rng(8).normal(size=(100, 4)).astype(np.float32)
+        g = GaussianSet(**{name: getattr(g, name) for name in PARAMETERS}, rotations_raw=raw)
         keep = np.random.default_rng(6).uniform(size=100) > 0.4
         out = apply_mask(g, keep)
-        for name in ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs"):
+        for name in [*PARAMETERS, "rotations_raw"]:
             before = getattr(g, name)[keep]
             after = getattr(out, name)
             np.testing.assert_array_equal(

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from splatrim.core import (
-    Camera, GaussianSet, SH_C0, normalize_quaternions, opacity_logit, quaternion_to_rotation,
-    sh_basis,
+    PARAMETERS, Camera, GaussianSet, SH_C0, normalize_quaternions, opacity_logit,
+    quaternion_to_rotation, sh_basis,
 )
 from splatrim.errors import InvalidParameterError, InvalidStateError
 from splatrim.render import (
     ALPHA_CLAMP,
+    NEAR_CLIP,
     GradientStats,
     RenderConfig,
     accumulate_gradient_stats,
@@ -28,7 +29,7 @@ BLACK = np.zeros(3)
 
 
 def camera_16(fx=20.0, fy=20.0):
-    return Camera(np.eye(4), fx=fx, fy=fy, cx=7.5, cy=7.5, width=16, height=16, near_clip=0.1)
+    return Camera(np.eye(4), fx=fx, fy=fy, cx=7.5, cy=7.5, width=16, height=16)
 
 
 def scene_from_rows(rows):
@@ -265,7 +266,7 @@ def brute_force_render(scene, camera, background):
     splats = []
     for i in range(scene.count):
         t = rot @ scene.positions[i].astype(np.float64) + w2c[:3, 3]
-        if t[2] < camera.near_clip:
+        if t[2] < NEAR_CLIP:
             continue
         q = scene.rotations[i].astype(np.float64)
         q = q / np.linalg.norm(q)
@@ -472,7 +473,7 @@ class TestPairs:
             RenderConfig(sigma_cutoff=cutoff)
 
 
-GRAD_FIELDS = ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs")
+GRAD_FIELDS = tuple(PARAMETERS)
 CONFIGS = {
     "exact": RenderConfig.exact(),
     "default": RenderConfig(),
@@ -556,7 +557,7 @@ class TestBackwardPlumbing:
         cam = camera_16()
         out = rasterize(g, cam, BLACK)
         grads, norms = rasterize_backward(g, cam, out, np.zeros((16, 16, 3)))
-        for name in ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs"):
+        for name in PARAMETERS:
             np.testing.assert_array_equal(getattr(grads, name), 0.0)
         np.testing.assert_array_equal(norms, 0.0)
 

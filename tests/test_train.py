@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from splatrim.core import GaussianSet, normalize_quaternions
+from splatrim.core import PARAMETERS, GaussianSet, normalize_quaternions
 from splatrim.errors import DivergedRunError, EmptySceneError, InvalidParameterError
 from splatrim.metrics import LossConfig
 from splatrim.prune import PruneCriterion, PruneSchedule, apply_mask
@@ -36,11 +36,8 @@ def small_dataset(tmp_path_factory):
     return scene, views
 
 
-GROUPS = ("positions", "rotations", "log_scales", "opacity_logits", "sh_coeffs")
-
-
 def scene_bits(scene):
-    return tuple(getattr(scene, name).tobytes() for name in GROUPS)
+    return tuple(getattr(scene, name).tobytes() for name in PARAMETERS)
 
 
 class TestFinetuneStep:
@@ -190,8 +187,8 @@ class TestOptimizerState:
         rng = np.random.default_rng(6)
         cfg = OptimizerConfig()
         opt = OptimizerState.create(scene, cfg, 20)
-        m1 = {name: np.zeros(getattr(scene, name).shape) for name in GROUPS}
-        m2 = {name: np.zeros(getattr(scene, name).shape) for name in GROUPS}
+        m1 = {name: np.zeros(getattr(scene, name).shape) for name in PARAMETERS}
+        m2 = {name: np.zeros(getattr(scene, name).shape) for name in PARAMETERS}
         sh_lr = np.full((16, 3), cfg.sh_rest_lr)
         sh_lr[0] = cfg.sh_dc_lr
         for step in range(1, 11):
@@ -201,7 +198,7 @@ class TestOptimizerState:
                 m1 = {name: v[keep] for name, v in m1.items()}
                 m2 = {name: v[keep] for name, v in m2.items()}
             grads = ParamGradients.zeros(scene.count)
-            for name in GROUPS:
+            for name in PARAMETERS:
                 getattr(grads, name)[...] = rng.normal(size=getattr(scene, name).shape)
             new = opt.step(scene, grads)
             lrs = {
@@ -209,7 +206,7 @@ class TestOptimizerState:
                 "log_scales": cfg.scale_lr, "opacity_logits": cfg.opacity_lr,
                 "sh_coeffs": sh_lr,
             }
-            for name in GROUPS:
+            for name in PARAMETERS:
                 g = getattr(grads, name)
                 m1[name] = m1[name] * BETA1 + (1.0 - BETA1) * g
                 m2[name] = m2[name] * BETA2 + (1.0 - BETA2) * g * g
@@ -234,6 +231,15 @@ class TestOptimizerState:
         assert opt.position_lr() == pytest.approx(1.6e-6, rel=1e-9)
         opt.step_count = 50
         assert opt.position_lr() == pytest.approx(np.sqrt(1.6e-4 * 1.6e-6), rel=1e-9)
+
+    def test_moments_have_the_table_rows(self, small_dataset):
+        scene, _ = small_dataset
+        opt = OptimizerState.create(scene, OptimizerConfig(), 10)
+        for moments in (opt.moments1, opt.moments2):
+            assert list(moments) == list(PARAMETERS)
+            for name, row in PARAMETERS.items():
+                assert moments[name].shape == (scene.count, *row)
+                assert moments[name].dtype == np.float64
 
     def test_filter_keeps_congruence(self, small_dataset):
         scene, views = small_dataset
