@@ -27,6 +27,7 @@ from .metrics import (
     training_loss,
 )
 from .prune import (
+    GradientStats,
     PruneCriterion,
     PruneReport,
     PruneSchedule,
@@ -36,12 +37,10 @@ from .prune import (
     quantile,
 )
 from .render import (
-    GradientStats,
     ParamGradients,
     Projected2D,
     RenderConfig,
     RenderOutput,
-    accumulate_gradient_stats,
     project,
     rasterize,
     rasterize_backward,

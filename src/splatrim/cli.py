@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SplatError
-from .metrics import LossConfig, compression_ratio, model_size_bytes
+from .metrics import SSIM_WINDOW, LossConfig, compression_ratio, model_size_bytes
 from .prune import PruneCriterion, PruneSchedule, PruneStepRecord
 from .render import rasterize
 from .sceneio import (
@@ -145,6 +145,18 @@ def _check_outputs(outputs: dict, inputs) -> None:
             raise SplatError(f"{flag} {out}: directory {Path(out).parent} does not exist")
 
 
+def _load_test_views(manifest):
+    """The test split, refused before any run if a view is too small to score."""
+    views = load_dataset(manifest, split="test")
+    for camera, _ in views:
+        if min(camera.width, camera.height) < SSIM_WINDOW:
+            raise SplatError(
+                f"{manifest}: test view of {camera.width}x{camera.height} pixels is "
+                f"smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
+            )
+    return views
+
+
 def cmd_trim(args) -> int:
     if args.seed is not None:
         _check_seed(args.seed, "--seed")
@@ -165,14 +177,14 @@ def cmd_trim(args) -> int:
     scene = read_ply(args.scene)
     baseline_bytes = model_size_bytes(scene)
     train_views = load_dataset(args.manifest, split="train")
-    test_views = load_dataset(args.manifest, split="test")
+    test_views = _load_test_views(args.manifest)
 
     pruned, report, run = run_iterative_prune(
         scene, train_views, schedule, loss_cfg, opt_cfg, seed=args.seed
     )
     write_ply(pruned, args.out_scene)
     if args.report:
-        _write_csv(args.report, report.csv_rows())
+        _write_csv(args.report, (asdict(r) for r in report.records))
     if args.history:
         _write_csv(args.history, (asdict(h) for h in run.history))
 
@@ -284,7 +296,7 @@ def cmd_ablate(args) -> int:
     _check_outputs({"--csv": args.csv}, (args.scene, args.manifest))
     scene = read_ply(args.scene)
     train_views = load_dataset(args.manifest, split="train")
-    test_views = load_dataset(args.manifest, split="test")
+    test_views = _load_test_views(args.manifest)
     seeds = list(range(args.seeds))
     rows = []
     for gamma in gammas:
@@ -343,11 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=64)
     p.set_defaults(func=cmd_synth)
 
-    report_columns = [f.name for f in fields(PruneStepRecord)] + ["achieved_sparsity"]
     p = sub.add_parser(
         "trim",
         help="iteratively prune and fine-tune a scene",
-        epilog=f"Report CSV columns: {','.join(report_columns)}. "
+        epilog=f"Report CSV columns: {','.join(f.name for f in fields(PruneStepRecord))}. "
         f"History CSV columns: {','.join(f.name for f in fields(HistoryEntry))}. "
         "A --config file holds flat 'key value' lines (schedule, learning "
         "rates, seed, paths); explicit flags take precedence.",
@@ -432,6 +443,9 @@ def main(argv=None) -> int:
     except (SplatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

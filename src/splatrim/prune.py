@@ -1,4 +1,4 @@
-"""Quantile thresholds, keep/drop masks, and the sparsification schedule.
+"""Gradient scores, quantile thresholds, keep masks and the prune schedule.
 
 A prune event removes the Gaussians whose activated opacity falls below the
 per-event quantile threshold, unless (in the gradient-aware variant) their
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,7 @@ class PruneStepRecord:
     removed: int
     opacity_threshold: float
     gradient_threshold: float
+    achieved_sparsity: float  # 1 - kept / the count before the first event
 
 
 @dataclass
@@ -63,26 +64,40 @@ class PruneReport:
     initial_count: int
     records: list[PruneStepRecord] = field(default_factory=list)
 
-    def add(self, record: PruneStepRecord) -> None:
-        self.records.append(record)
-
     @property
     def final_count(self) -> int:
         return self.records[-1].kept if self.records else self.initial_count
 
     @property
     def achieved_sparsity(self) -> float:
-        if self.initial_count == 0:
-            return 0.0
-        return 1.0 - self.final_count / self.initial_count
+        return self.records[-1].achieved_sparsity if self.records else 0.0
 
-    def csv_rows(self) -> list[dict]:
-        """One row per event: the record's fields, then the sparsity reached."""
-        return [
-            {**asdict(r), "achieved_sparsity": 1.0 - r.kept / self.initial_count
-             if self.initial_count else 0.0}
-            for r in self.records
-        ]
+
+@dataclass
+class GradientStats:
+    """Running pruning signal: gradient-norm sums and per-pass hit counts."""
+
+    accum_grad_norm: np.ndarray  # (N,) float64
+    hit_count: np.ndarray        # (N,) int64
+
+    @staticmethod
+    def zeros(n: int) -> "GradientStats":
+        return GradientStats(np.zeros(n), np.zeros(n, np.int64))
+
+    def add(self, norms: np.ndarray) -> None:
+        """Add one backward pass worth of per-Gaussian gradient norms, in place."""
+        norms = np.asarray(norms, np.float64)
+        if norms.shape != self.accum_grad_norm.shape:
+            raise InvalidParameterError(
+                f"norm length {norms.shape} does not match stats length "
+                f"{self.accum_grad_norm.shape}"
+            )
+        self.accum_grad_norm += norms
+        self.hit_count += norms > 0
+
+    def scores(self) -> np.ndarray:
+        """Accumulated gradient norm divided by the number of passes that hit."""
+        return self.accum_grad_norm / np.maximum(self.hit_count, 1)
 
 
 def per_iteration_fraction(gamma_target: float, steps: int) -> float:
@@ -98,8 +113,8 @@ def quantile(values: np.ndarray, fraction: float) -> float:
     """Lower empirical quantile: the element at sorted index floor(fraction*n).
 
     Exactly floor(fraction*n) elements sort strictly below the returned value
-    when values are distinct; fraction 0 returns -inf so a >= comparison
-    keeps everything.
+    when values are distinct; where floor(fraction*n) is 0 it returns -inf,
+    so a >= comparison keeps everything.
     """
     values = np.asarray(values, np.float64)
     if values.size == 0:
@@ -108,8 +123,6 @@ def quantile(values: np.ndarray, fraction: float) -> float:
         raise InvalidParameterError("quantile input must be finite")
     if not 0.0 <= fraction < 1.0:
         raise InvalidParameterError("fraction must be in [0, 1)")
-    if fraction == 0.0:
-        return KEEP_ALL_THRESHOLD
     k = int(math.floor(fraction * values.size))
     if k == 0:
         return KEEP_ALL_THRESHOLD

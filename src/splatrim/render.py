@@ -60,6 +60,9 @@ class RenderConfig:
             raise InvalidParameterError("tile_size must be >= 1")
         if not self.sigma_cutoff > 0:
             raise InvalidParameterError("sigma_cutoff must be positive")
+        for name in ("alpha_skip", "transmittance_floor"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise InvalidParameterError(f"{name} must be in [0, 1)")
 
     @staticmethod
     def exact() -> "RenderConfig":
@@ -97,38 +100,6 @@ class ParamGradients:
     @staticmethod
     def zeros(n: int) -> "ParamGradients":
         return ParamGradients(**{name: np.zeros((n, *row)) for name, row in PARAMETERS.items()})
-
-
-@dataclass
-class GradientStats:
-    """Running pruning signal: gradient-norm sums and per-pass hit counts."""
-
-    accum_grad_norm: np.ndarray  # (N,) float64
-    hit_count: np.ndarray        # (N,) int64
-
-    @staticmethod
-    def zeros(n: int) -> "GradientStats":
-        return GradientStats(np.zeros(n), np.zeros(n, np.int64))
-
-    def scores(self) -> np.ndarray:
-        """Accumulated gradient norm divided by the number of passes that hit."""
-        return self.accum_grad_norm / np.maximum(self.hit_count, 1)
-
-
-def accumulate_gradient_stats(
-    stats: GradientStats, per_gaussian_norms: np.ndarray
-) -> GradientStats:
-    """Add one backward pass worth of gradient norms; returns a new stats object."""
-    norms = np.asarray(per_gaussian_norms, np.float64)
-    if norms.shape != stats.accum_grad_norm.shape:
-        raise InvalidParameterError(
-            f"norm length {norms.shape} does not match stats length "
-            f"{stats.accum_grad_norm.shape}"
-        )
-    return GradientStats(
-        accum_grad_norm=stats.accum_grad_norm + norms,
-        hit_count=stats.hit_count + (norms > 0),
-    )
 
 
 # ---------------------------------------------------------------------------

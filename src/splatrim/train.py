@@ -2,16 +2,18 @@
 
 The pipeline starts from an already-optimized scene: alternate ``interval``
 optimizer steps with a prune event for ``steps`` rounds, then run an
-extended fine-tune. The one-shot variant scores every Gaussian with a
-no-update gradient pass over all views, prunes once, and fine-tunes.
+extended fine-tune. The one-shot variant prunes once and fine-tunes; for
+the gradient-aware rule it first scores every Gaussian with a no-update
+gradient pass over all views.
 Plain ``finetune`` runs the steps alone. One loop, ``_finetune_loop``, takes
 every optimizer step of all three pipelines.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 
 import numpy as np
@@ -20,6 +22,7 @@ from .core import PARAMETERS, SH_COEFFS, Camera, GaussianSet, normalize_quaterni
 from .errors import DivergedRunError, EmptySceneError, InvalidParameterError
 from .metrics import LossConfig, psnr, ssim, training_loss
 from .prune import (
+    GradientStats,
     PruneCriterion,
     PruneReport,
     PruneSchedule,
@@ -27,13 +30,7 @@ from .prune import (
     apply_mask,
     prune_mask,
 )
-from .render import (
-    GradientStats,
-    RenderConfig,
-    accumulate_gradient_stats,
-    rasterize,
-    rasterize_backward,
-)
+from .render import RenderConfig, rasterize, rasterize_backward
 
 BACKGROUND = np.zeros(3)
 
@@ -54,6 +51,12 @@ class OptimizerConfig:
     opacity_lr: float = 5e-2
     scale_lr: float = 5e-3
     rotation_lr: float = 1e-3
+
+    def __post_init__(self):
+        for f in fields(self):
+            rate = getattr(self, f.name)
+            if not (math.isfinite(rate) and rate >= 0.0):
+                raise InvalidParameterError(f"{f.name} must be finite and >= 0, got {rate}")
 
 
 @dataclass
@@ -265,37 +268,37 @@ def _finetune_loop(
     render_cfg: RenderConfig | None,
     run: TrainRun,
     stats: GradientStats | None = None,
-) -> tuple[GaussianSet, GradientStats | None]:
+) -> GaussianSet:
     """``iters`` optimizer steps on the next ``iters`` views, each logged to ``run``.
 
-    Pass ``stats`` when a prune event follows: each step's gradient norms
-    are added to it and the updated stats are returned.
+    Pass ``stats`` when a gradient-aware prune event follows: each step's
+    gradient norms are added to it.
     """
     for camera, target in islice(views, iters):
         result = finetune_step(scene, optimizer, camera, target, loss_cfg, render_cfg)
         scene = result.scene
         if stats is not None:
-            stats = accumulate_gradient_stats(stats, result.grad_norms)
+            stats.add(result.grad_norms)
         run.log(result.loss, result.psnr, scene.count)
-    return scene, stats
+    return scene
 
 
 def _prune_event(
     scene: GaussianSet,
     optimizer: OptimizerState,
-    stats: GradientStats,
+    stats: GradientStats | None,
     criterion: PruneCriterion,
     gamma_iter: float,
     report: PruneReport,
     iteration: int,
 ) -> tuple[GaussianSet, OptimizerState]:
-    keep, op_thr, gr_thr = prune_mask(
-        scene.activated_opacities(), stats.scores(), gamma_iter, criterion
-    )
+    """Prune by ``criterion`` and record it; ``stats`` is ``None`` for opacity-only."""
+    scores = None if stats is None else stats.scores()
+    keep, op_thr, gr_thr = prune_mask(scene.activated_opacities(), scores, gamma_iter, criterion)
     if not np.any(keep):
         raise EmptySceneError(f"prune at iteration {iteration} would empty the scene")
     kept = int(keep.sum())
-    report.add(
+    report.records.append(
         PruneStepRecord(
             iteration=iteration,
             gamma_iter=gamma_iter,
@@ -303,6 +306,7 @@ def _prune_event(
             removed=keep.size - kept,
             opacity_threshold=op_thr,
             gradient_threshold=gr_thr,
+            achieved_sparsity=1.0 - kept / report.initial_count,
         )
     )
     return apply_mask(scene, keep), optimizer.filter(keep)
@@ -323,17 +327,18 @@ def run_iterative_prune(
     optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), total)
     run = TrainRun()
     report = PruneReport(initial_count=scene.count)
+    gradient_aware = schedule.criterion is PruneCriterion.GRADIENT_AWARE
 
     for _ in range(schedule.steps):
-        scene, stats = _finetune_loop(
-            scene, optimizer, views, schedule.interval, loss_cfg, render_cfg,
-            run, GradientStats.zeros(scene.count),
+        stats = GradientStats.zeros(scene.count) if gradient_aware else None
+        scene = _finetune_loop(
+            scene, optimizer, views, schedule.interval, loss_cfg, render_cfg, run, stats
         )
         scene, optimizer = _prune_event(
             scene, optimizer, stats, schedule.criterion, schedule.gamma_iter, report,
             len(run.history),
         )
-    scene, _ = _finetune_loop(
+    scene = _finetune_loop(
         scene, optimizer, views, schedule.finetune_iters, loss_cfg, render_cfg, run
     )
     return scene, report, run
@@ -352,7 +357,7 @@ def score_pass(
         _, d_image = training_loss(out.image, target, loss_cfg)
         _, norms = rasterize_backward(scene, camera, out, d_image)
         del out  # free this view's kept pair state before the next view renders
-        stats = accumulate_gradient_stats(stats, norms)
+        stats.add(norms)
     return stats
 
 
@@ -374,10 +379,12 @@ def one_shot_prune(
     run = TrainRun()
     report = PruneReport(initial_count=scene.count)
 
-    stats = score_pass(scene, dataset, loss_cfg, render_cfg)
+    stats = None
+    if criterion is PruneCriterion.GRADIENT_AWARE:
+        stats = score_pass(scene, dataset, loss_cfg, render_cfg)
     optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), finetune_iters)
     scene, optimizer = _prune_event(scene, optimizer, stats, criterion, gamma, report, 0)
-    scene, _ = _finetune_loop(scene, optimizer, views, finetune_iters, loss_cfg, render_cfg, run)
+    scene = _finetune_loop(scene, optimizer, views, finetune_iters, loss_cfg, render_cfg, run)
     return scene, report, run
 
 
@@ -396,7 +403,7 @@ def finetune(
     views = _cycled_views(dataset, seed)
     optimizer = OptimizerState.create(scene, opt_cfg or OptimizerConfig(), iters)
     run = TrainRun()
-    scene, _ = _finetune_loop(scene, optimizer, views, iters, loss_cfg, render_cfg, run)
+    scene = _finetune_loop(scene, optimizer, views, iters, loss_cfg, render_cfg, run)
     return scene, run
 
 

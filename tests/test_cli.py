@@ -42,6 +42,25 @@ def data_paths(workspace):
     return workspace / "data" / "scene.ply", workspace / "data" / "manifest.txt"
 
 
+def refuse_runs(monkeypatch):
+    """Make every prune pipeline the CLI calls fail the test if it starts."""
+
+    def refuse(*args, **kwargs):
+        pytest.fail("started a run before checking its inputs")
+
+    monkeypatch.setattr(cli, "run_iterative_prune", refuse)
+    monkeypatch.setattr(cli, "one_shot_prune", refuse)
+
+
+@pytest.fixture(scope="module")
+def tiny_views(tmp_path_factory):
+    """A dataset whose 8x8 views are smaller than the SSIM window."""
+    root = tmp_path_factory.mktemp("tiny") / "data"
+    assert main(["synth", "--out", str(root), "--seed", "0", "--gaussians", "20",
+                 "--views", "4", "--size", "8"]) == 0
+    return root / "scene.ply", root / "manifest.txt"
+
+
 class TestSynth:
     def test_outputs_exist(self, workspace):
         scene, manifest = data_paths(workspace)
@@ -350,6 +369,69 @@ class TestTrim:
         assert "no test views" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("position_lr_init", "-1e-4"), ("opacity_lr", "-0.5"), ("scale_lr", "nan"),
+    ])
+    def test_bad_learning_rate_in_config_fails_before_loading(
+        self, workspace, tmp_path, capsys, monkeypatch, key, value
+    ):
+        # a negative position rate crashed at the first step, a negative
+        # opacity rate ran to exit 0, and a NaN rate was reported as divergence
+        scene, manifest = data_paths(workspace)
+        out = tmp_path / "o.ply"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scene {scene}\nmanifest {manifest}\nout_scene {out}\n{key} {value}\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("loaded the scene before checking the learning rates")
+
+        monkeypatch.setattr(cli, "read_ply", refuse)
+        rc = main(["trim", "--config", str(cfg), "--steps", "1", "--interval", "2",
+                   "--finetune-iters", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be finite and >= 0")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_views_smaller_than_the_ssim_window_fail_before_training(
+        self, tiny_views, tmp_path, capsys, monkeypatch
+    ):
+        # the final evaluation used to refuse them after the whole schedule
+        # had run and the scene and report had been written
+        scene, manifest = tiny_views
+        refuse_runs(monkeypatch)
+        out, report = tmp_path / "o.ply", tmp_path / "r.csv"
+        rc = main(["trim", "--scene", str(scene), "--manifest", str(manifest),
+                   "--out-scene", str(out), "--lam", "0", "--report", str(report)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "test view of 8x8 pixels" in err and "SSIM window" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["run", "write"])
+    def test_interrupt_exits_130_without_a_scene(
+        self, workspace, tmp_path, capsys, monkeypatch, where
+    ):
+        scene, manifest = data_paths(workspace)
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        if where == "run":
+            monkeypatch.setattr(cli, "run_iterative_prune", interrupt)
+        else:  # inside the atomic write of --out-scene, after its file is open
+            monkeypatch.setattr("splatrim.sceneio.ply_header_bytes", interrupt)
+        try:
+            rc = main(["trim", "--scene", str(scene), "--manifest", str(manifest),
+                       "--out-scene", str(tmp_path / "o.ply"), "--steps", "1",
+                       "--interval", "1", "--finetune-iters", "0"])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert rc == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_every_flag_is_a_config_key(self, tmp_path):
         # each trim flag's dest (but --config) is a --config key whose value
         # converts and fails exactly as the flag's does
@@ -655,6 +737,19 @@ class TestAblate:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+
+    def test_views_smaller_than_the_ssim_window_fail_before_the_grid(
+        self, tiny_views, tmp_path, capsys, monkeypatch
+    ):
+        scene, manifest = tiny_views
+        refuse_runs(monkeypatch)
+        out_csv = tmp_path / "a.csv"
+        rc = main(["ablate", "--scene", str(scene), "--manifest", str(manifest),
+                   "--csv", str(out_csv), "--lam", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "test view of 8x8 pixels" in err
+        assert not out_csv.exists()
 
     def test_missing_csv_directory_fails_before_the_grid(
         self, workspace, tmp_path, capsys, monkeypatch

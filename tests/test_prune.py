@@ -1,5 +1,6 @@
 """Quantiles, keep/drop masks, and the sparsification schedule."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,11 @@ import pytest
 from splatrim.core import PARAMETERS, GaussianSet
 from splatrim.errors import InvalidParameterError
 from splatrim.prune import (
+    GradientStats,
     PruneCriterion,
+    PruneReport,
     PruneSchedule,
+    PruneStepRecord,
     apply_mask,
     per_iteration_fraction,
     prune_mask,
@@ -232,3 +236,66 @@ class TestApplyMask:
         g = small_scene(4)
         with pytest.raises(InvalidParameterError):
             apply_mask(g, np.ones(4, np.int64))
+
+
+class TestGradientStats:
+    def test_fresh_plus_zero_norms(self):
+        stats = GradientStats.zeros(4)
+        stats.add(np.zeros(4))
+        np.testing.assert_array_equal(stats.accum_grad_norm, 0.0)
+        np.testing.assert_array_equal(stats.hit_count, 0)
+
+    def test_two_accumulations(self):
+        stats = GradientStats.zeros(1)
+        stats.add(np.array([1.0]))
+        stats.add(np.array([2.0]))
+        assert stats.accum_grad_norm[0] == 3.0
+        assert stats.hit_count[0] == 2
+
+    def test_add_updates_in_place(self):
+        # a caller holding the arrays sees each pass, and the dtypes stay put
+        stats = GradientStats.zeros(2)
+        sums, hits = stats.accum_grad_norm, stats.hit_count
+        stats.add(np.array([1.0, 0.0], np.float32))
+        assert stats.accum_grad_norm is sums and stats.hit_count is hits
+        np.testing.assert_array_equal(sums, [1.0, 0.0])
+        np.testing.assert_array_equal(hits, [1, 0])
+        assert (sums.dtype, hits.dtype) == (np.float64, np.int64)
+
+    def test_reset_semantics(self):
+        # a prune event starts fresh zeros, so a later accumulation equals a
+        # single accumulation since the prune
+        stats = GradientStats.zeros(2)
+        stats.add(np.array([1.0, 5.0]))
+        stats = GradientStats.zeros(2)  # what a prune event does
+        stats.add(np.array([2.0, 0.0]))
+        np.testing.assert_array_equal(stats.accum_grad_norm, [2.0, 0.0])
+        np.testing.assert_array_equal(stats.hit_count, [1, 0])
+
+    def test_mean_scores_normalize_by_hits(self):
+        stats = GradientStats.zeros(2)
+        stats.add(np.array([1.0, 0.0]))
+        stats.add(np.array([2.0, 0.0]))
+        np.testing.assert_array_equal(stats.scores(), [1.5, 0.0])
+
+    def test_length_mismatch(self):
+        stats = GradientStats.zeros(3)
+        with pytest.raises(InvalidParameterError, match="norm length"):
+            stats.add(np.zeros(4))
+        np.testing.assert_array_equal(stats.accum_grad_norm, 0.0)
+
+
+class TestPruneReport:
+    def test_achieved_sparsity_is_the_records_last_field(self):
+        # the report CSV's last column, after the event's own numbers
+        assert [f.name for f in dataclasses.fields(PruneStepRecord)][-1] == "achieved_sparsity"
+
+    def test_achieved_sparsity_reads_the_last_record(self):
+        report = PruneReport(initial_count=8)
+        assert report.achieved_sparsity == 0.0
+        for kept, sparsity in ((6, 0.25), (4, 0.5)):
+            report.records.append(PruneStepRecord(
+                iteration=1, gamma_iter=0.25, kept=kept, removed=2,
+                opacity_threshold=0.1, gradient_threshold=0.2, achieved_sparsity=sparsity,
+            ))
+        assert (report.final_count, report.achieved_sparsity) == (4, 0.5)

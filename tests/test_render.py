@@ -15,9 +15,7 @@ from splatrim.errors import InvalidParameterError, InvalidStateError
 from splatrim.render import (
     ALPHA_CLAMP,
     NEAR_CLIP,
-    GradientStats,
     RenderConfig,
-    accumulate_gradient_stats,
     project,
     rasterize,
     rasterize_backward,
@@ -472,6 +470,14 @@ class TestPairs:
         with pytest.raises(InvalidParameterError):
             RenderConfig(sigma_cutoff=cutoff)
 
+    @pytest.mark.parametrize("name", ["alpha_skip", "transmittance_floor"])
+    @pytest.mark.parametrize("value", [-0.1, 1.0, math.nan])
+    def test_out_of_range_cutoff_rejected(self, name, value):
+        # alpha_skip 1 would skip every pair and render the background alone;
+        # a NaN floor would never end a pixel's compositing early
+        with pytest.raises(InvalidParameterError, match=name):
+            RenderConfig(**{name: value})
+
 
 GRAD_FIELDS = tuple(PARAMETERS)
 CONFIGS = {
@@ -745,37 +751,3 @@ class TestBackwardContractions:
         _add_per_row(split, rows[:400], [v[:400] for v in values])
         _add_per_row(split, rows[400:], [v[400:] for v in values])
         np.testing.assert_array_equal(split, mom)
-
-
-class TestGradientStats:
-    def test_fresh_plus_zero_norms(self):
-        stats = accumulate_gradient_stats(GradientStats.zeros(4), np.zeros(4))
-        np.testing.assert_array_equal(stats.accum_grad_norm, 0.0)
-        np.testing.assert_array_equal(stats.hit_count, 0)
-
-    def test_two_accumulations(self):
-        stats = GradientStats.zeros(1)
-        stats = accumulate_gradient_stats(stats, np.array([1.0]))
-        stats = accumulate_gradient_stats(stats, np.array([2.0]))
-        assert stats.accum_grad_norm[0] == 3.0
-        assert stats.hit_count[0] == 2
-
-    def test_reset_semantics(self):
-        # stats consumed by a prune are replaced by fresh zeros, so a later
-        # accumulation equals a single accumulation since the prune
-        stats = GradientStats.zeros(2)
-        stats = accumulate_gradient_stats(stats, np.array([1.0, 5.0]))
-        stats = GradientStats.zeros(2)  # what a prune event does
-        stats = accumulate_gradient_stats(stats, np.array([2.0, 0.0]))
-        np.testing.assert_array_equal(stats.accum_grad_norm, [2.0, 0.0])
-        np.testing.assert_array_equal(stats.hit_count, [1, 0])
-
-    def test_mean_scores_normalize_by_hits(self):
-        stats = GradientStats.zeros(2)
-        stats = accumulate_gradient_stats(stats, np.array([1.0, 0.0]))
-        stats = accumulate_gradient_stats(stats, np.array([2.0, 0.0]))
-        np.testing.assert_array_equal(stats.scores(), [1.5, 0.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            accumulate_gradient_stats(GradientStats.zeros(3), np.zeros(4))

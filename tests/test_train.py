@@ -1,6 +1,8 @@
 """Fine-tuning loop, optimizer behavior, and the prune pipelines."""
 
 import copy
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from splatrim.core import PARAMETERS, GaussianSet, normalize_quaternions
 from splatrim.errors import DivergedRunError, EmptySceneError, InvalidParameterError
 from splatrim.metrics import LossConfig
-from splatrim.prune import PruneCriterion, PruneSchedule, apply_mask
+from splatrim.prune import GradientStats, PruneCriterion, PruneSchedule, apply_mask
 from splatrim.render import ParamGradients, RenderConfig, rasterize
 from splatrim.sceneio import make_synthetic, load_dataset, perturb_scene
 from splatrim import train
@@ -117,6 +119,16 @@ class TestFinetuneStep:
         with pytest.raises(DivergedRunError) as err:
             finetune_step(poisoned, opt, camera, target, LossConfig(), FAST)
         assert err.value.iteration == 7
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(OptimizerConfig)])
+    @pytest.mark.parametrize("value", [-1e-4, math.nan, math.inf])
+    def test_rate_must_be_finite_and_non_negative(self, name, value):
+        # a negative position rate made the decay complex, a negative opacity
+        # rate ascended the loss, and a NaN rate surfaced as divergence
+        with pytest.raises(InvalidParameterError, match=name):
+            OptimizerConfig(**{name: value})
 
 
 class TestOptimizerState:
@@ -294,6 +306,27 @@ class TestIterativePrune:
             assert record.kept + record.removed == previous
             previous = record.kept
 
+    def test_records_carry_the_achieved_sparsity(self, small_dataset):
+        scene, views = small_dataset
+        schedule = PruneSchedule(gamma_target=0.5, steps=3, interval=2, finetune_iters=0)
+        _, report, _ = run_iterative_prune(scene, views, schedule, seed=2, render_cfg=FAST)
+        for record in report.records:
+            assert record.achieved_sparsity == 1.0 - record.kept / scene.count
+        assert report.achieved_sparsity == report.records[-1].achieved_sparsity > 0.0
+
+    def test_only_the_gradient_rule_accumulates_scores(self, small_dataset, monkeypatch):
+        scene, views = small_dataset
+        calls = []
+        monkeypatch.setattr(GradientStats, "add", lambda stats, norms: calls.append(norms))
+        for criterion, expected in ((PruneCriterion.OPACITY_ONLY, 0),
+                                    (PruneCriterion.GRADIENT_AWARE, 2 * 2)):
+            calls.clear()
+            schedule = PruneSchedule(
+                gamma_target=0.5, steps=2, interval=2, finetune_iters=1, criterion=criterion
+            )
+            run_iterative_prune(scene, views, schedule, seed=3, render_cfg=FAST)
+            assert len(calls) == expected, criterion
+
     def test_empty_dataset_rejected(self, small_dataset):
         scene, _ = small_dataset
         schedule = PruneSchedule(gamma_target=0.5)
@@ -359,6 +392,18 @@ class TestOneShot:
         out, report, run = one_shot_prune(scene, views, 0.0, 3, seed=0, render_cfg=FAST)
         assert out.count == scene.count
         assert len(run.history) == 3
+
+    def test_opacity_only_makes_no_score_pass(self, small_dataset, monkeypatch):
+        scene, views = small_dataset
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the opacity-only rule reads no gradient score")
+
+        monkeypatch.setattr(train, "score_pass", refuse)
+        out, report, _ = one_shot_prune(
+            scene, views, 0.5, 1, criterion=PruneCriterion.OPACITY_ONLY, render_cfg=FAST
+        )
+        assert report.records[0].kept == out.count < scene.count
 
     def test_opacity_only_halves_exactly(self, small_dataset):
         scene, views = small_dataset
