@@ -4,14 +4,18 @@ Forward: ``project`` maps each 3D Gaussian to an image-plane ellipse (mean,
 2x2 covariance via the perspective Jacobian) in one ``Projected2D`` record,
 which also holds the intermediates the backward chains through; the render
 keeps its visible rows and alpha-composites them front to back over (splat,
-pixel) pairs, built and composited in chunks of whole pixel rows. A splat
-reaches a pixel if and only if the pixel centre lies inside its cutoff
+pixel) pairs, built and composited in chunks of consecutive depth ranks. A
+splat reaches a pixel if and only if the pixel centre lies inside its cutoff
 ellipse, where ``-d^T conic d / 2 >= -sigma_cutoff**2 / 2`` (every pixel
 under ``RenderConfig.exact()``); ``RenderConfig.tile_size`` affects nothing.
+Each chunk goes on from the per-pixel transmittance and colour sum the chunks
+in front left, and builds no pair on a pixel whose transmittance has already
+fallen below ``transmittance_floor``: such pairs would only add zeros.
 Rendered with ``for_backward``, the output keeps each chunk's pair state.
-Backward: from that state (or the chunk built once more), reversed per-pixel
-scans give the suffix sums and per-splat sums over the pairs chain the pixel
-gradients back to every stored parameter, through the kept projection rows.
+Backward: from that state (or the chunks built once more), walked back to
+front, reversed per-pixel scans give the suffix sums and per-splat sums over
+the pairs chain the pixel gradients back to every stored parameter, through
+the kept projection rows.
 
 All screen-space math runs in float64 regardless of the float32 storage so
 analytic gradients match central finite differences tightly.
@@ -79,7 +83,9 @@ class RenderOutput:
     background: np.ndarray
     config: RenderConfig
     # The forward's state for the backward pass, valid only for the exact
-    # scene and camera objects it rendered: the visible-row projection.
+    # scene and camera objects it rendered: the (H*W, 3) colours before the
+    # [0, 1] clip and the visible-row projection.
+    _color: np.ndarray = field(repr=False)
     _prep: _Prepared = field(repr=False)
     _scene: GaussianSet = field(repr=False)
     _camera: Camera = field(repr=False)
@@ -243,16 +249,18 @@ def _prepare(gaussians: GaussianSet, camera: Camera, config: RenderConfig) -> _P
 # (splat, pixel) pairs
 # ---------------------------------------------------------------------------
 
-# A chunk of whole pixel rows closes once it holds this many (splat, pixel)
-# pairs, which bounds the per-pair arrays a chunk allocates.
+# A chunk takes consecutive depth ranks while it holds at most this many
+# (splat, pixel) pairs, and at least one rank, which bounds the per-pair arrays
+# a chunk allocates by max(_CHUNK_PAIRS, one splat's footprint of at most H*W).
 _CHUNK_PAIRS = 1 << 15
 
 
 class _Pairs(NamedTuple):
-    """One chunk's (splat, pixel) pairs, grouped by pixel and front to back
-    within a pixel, and what compositing made of them. The per-pixel scans
-    run in a flat buffer that gives each occupied pixel one row of a 2-D
-    block: the cell in front of its first pair, one behind each, padding."""
+    """One chunk's (splat, pixel) pairs on the pixels still compositing when it
+    began, grouped by pixel and front to back within a pixel, and what
+    compositing made of them. The per-pixel scans run in a flat buffer that
+    gives each occupied pixel one row of a 2-D block: the cell in front of its
+    first pair, one behind each, padding."""
 
     rows: np.ndarray     # (M,) depth rank of each pair's splat (visible row front[rank])
     dx: np.ndarray       # (M,) pixel x minus the splat's mean x
@@ -266,8 +274,6 @@ class _Pairs(NamedTuple):
     pixels: np.ndarray   # (Q,) flat index y * W + x of each occupied pixel
     counts: np.ndarray   # (Q,) pairs per pixel
     tail: np.ndarray     # (Q,) scan-buffer cell behind each pixel's last pair
-    color: np.ndarray    # (Q, 3) pixel colour before the [0, 1] clip
-    t_final: np.ndarray  # (Q,) terminal transmittance
     blocks: tuple        # (first cell, pixels, row width) of each block
 
 
@@ -282,15 +288,20 @@ def _block_views(buf: np.ndarray, blocks: tuple) -> Iterator[np.ndarray]:
 
 
 def _pair_chunks(
-    prep: _Prepared, camera: Camera, config: RenderConfig, bg: np.ndarray
+    prep: _Prepared, camera: Camera, config: RenderConfig,
+    transmittance: np.ndarray, total: np.ndarray,
 ) -> Iterator[_Pairs]:
-    """Composite the visible rows in chunks of whole pixel rows.
+    """Composite the visible rows front to back, in chunks of whole depth ranks.
 
     On each pixel row of its ellipse, a visible row reaches the x-span where
     ``a dx^2 + 2 b dx dy + c dy^2 <= sigma_cutoff^2``, (a, b; b, c) being its
-    conic. These (row, pixel row) segments, ordered by pixel row and then
-    front to back, form chunks that close once they reach ``_CHUNK_PAIRS``
-    pairs. Rows are numbered by depth rank, so pixels read them in order."""
+    conic. These (row, pixel row) segments are built front to back and cut
+    into chunks of consecutive depth ranks (see ``_CHUNK_PAIRS``). Each chunk
+    goes on from the ``transmittance`` (H*W,) and colour sum ``total``
+    (3, H*W) that the chunks in front left each pixel, and updates both in
+    place. A pixel ends once its transmittance falls below the floor; every
+    later chunk drops its pairs, and the segments whose span holds no pixel
+    still compositing, before building them."""
     h, w = camera.height, camera.width
     # Per-row coefficients in depth order, which each pair gathers in one
     # ``take``: mean x and y, -a/2, b, -c/2, opacity and colour.
@@ -311,14 +322,10 @@ def _pair_chunks(
     y0 = np.clip(np.ceil(my - ry), 0, h).astype(np.int64)
     ny = np.maximum(np.clip(np.floor(my + ry), -1, h - 1).astype(np.int64) - y0 + 1, 0)
     ny[s2 < 0.0] = 0
-    live = np.flatnonzero(ny)
-    ny = ny[live]
-    seg_row = np.repeat(live, ny)
-    seg_y = np.repeat(y0[live] - _starts(ny), ny) + np.arange(seg_row.size)
-    by_y = np.argsort(seg_y.astype(np.min_scalar_type(h)), kind="stable")
-    seg_row, seg_y = seg_row.take(by_y), seg_y.take(by_y)
-    row_seg = np.searchsorted(seg_y, np.arange(h + 1))  # first segment of each pixel row
-    del ry, y0, live, ny, by_y
+    seg_row = np.repeat(np.arange(ny.size), ny)
+    seg_y = np.repeat(y0 - _starts(ny), ny) + np.arange(seg_row.size)
+    rank_seg = _starts(np.append(ny, 0))  # first segment of each depth rank
+    del ry, y0, ny
 
     # On pixel row y the span is mid +- half, with dy = y - mean y,
     # mid = mean x - b dy / a and half = sqrt(a s2 - (a c - b^2) dy^2) / a.
@@ -332,42 +339,51 @@ def _pair_chunks(
     seg_pixel = seg_y * w + x0
     seg_cterm = qc.take(seg_row) * dy * dy  # the power's -c/2 dy^2, fixed per segment
     del sa, sb, half, mid, x0, seg_y, s2
-    row_pair = np.concatenate(([0], np.cumsum(nx)))[row_seg]  # pairs before each pixel row
-    y = 0
-    while y < h:
-        stop = min(int(np.searchsorted(row_pair, row_pair[y] + _CHUNK_PAIRS)), h)
-        if row_pair[stop] > row_pair[y]:
-            sl = slice(row_seg[y], row_seg[stop])
-            yield _composite(
-                coef, seg_row[sl], seg_pixel[sl], nx[sl], dy[sl], seg_cterm[sl],
-                y * w, (stop - y) * w, w, config, bg,
-            )
-        y = stop
+    rank_pair = np.concatenate(([0], np.cumsum(nx)))[rank_seg]  # pairs in front of each rank
+    live = np.ones(h * w, bool)  # pixels not ended
+    r = 0
+    while r < opacity.size:
+        stop = max(int(np.searchsorted(rank_pair, rank_pair[r] + _CHUNK_PAIRS, "right")) - 1, r + 1)
+        segs = tuple(arr[rank_seg[r]:rank_seg[stop]] for arr in (seg_row, seg_pixel, nx, dy, seg_cterm))
+        r = stop
+        if not live.all():
+            # live pixels in front of each flat index: the span [p, p + n)
+            # holds reached[p + n] - reached[p] of them
+            reached = np.concatenate(([0], np.cumsum(live)))
+            keep = reached.take(segs[1] + segs[2]) > reached.take(segs[1])
+            segs = tuple(arr[keep] for arr in segs)
+        if segs[2].any():
+            yield _composite(coef, *segs, w, config, transmittance, total, live)
 
 
 def _composite(
     coef: np.ndarray, seg_row: np.ndarray, seg_pixel: np.ndarray, seg_count: np.ndarray,
-    seg_dy: np.ndarray, seg_cterm: np.ndarray,
-    base: int, n_pixels: int, width: int, config: RenderConfig, bg: np.ndarray,
+    seg_dy: np.ndarray, seg_cterm: np.ndarray, width: int, config: RenderConfig,
+    transmittance: np.ndarray, total: np.ndarray, live: np.ndarray,
 ) -> _Pairs:
     """Composite one chunk: its segments (depth rank, flat pixel of the span's
-    first pair, span length, dy, -c/2 dy^2) over its pixels ``base`` to
-    ``base + n_pixels``. The pairs are stable-sorted by pixel on the narrowest
-    unsigned key, so numpy radix-sorts them; each pixel's transmittance is then
-    an exact sequential product, one ``cumprod`` per scan-buffer block."""
+    first pair, span length, dy, -c/2 dy^2) over the pixels that ``live``
+    holds not ended, going on from their ``transmittance`` and ``total``; all
+    three are updated in place. The pairs are stable-sorted by pixel on the
+    narrowest unsigned key, so numpy radix-sorts them; each pixel's
+    transmittance is then an exact sequential product, one ``cumprod`` per
+    scan-buffer block, and its colour an exact sequential sum."""
     m = int(seg_count.sum())
     seg = np.repeat(np.arange(seg_count.size), seg_count)
-    local = (seg_pixel - base - _starts(seg_count)).take(seg)
-    local += np.arange(m)
-    local = local.astype(np.min_scalar_type(n_pixels - 1))
-    order = np.argsort(local, kind="stable")
-    counts = np.bincount(local, minlength=n_pixels)
+    pixel = (seg_pixel - _starts(seg_count)).take(seg)
+    pixel += np.arange(m)
+    if not live.all():
+        on = live.take(pixel)
+        seg, pixel = seg[on], pixel[on]
+        m = seg.size
+    pixel = pixel.astype(np.min_scalar_type(live.size - 1))
+    order = np.argsort(pixel, kind="stable")
+    counts = np.bincount(pixel, minlength=live.size)
     pixels = np.flatnonzero(counts)
     counts = counts[pixels]
     seg = seg.take(order)
     rows = seg_row.take(seg)
-    del local, order
-    pixels += base
+    del pixel, order
 
     # Per-pair coefficients are gathered one row at a time into ``tmp``.
     tmp = np.empty(m)
@@ -404,33 +420,39 @@ def _composite(
     slot = np.repeat(cell0 - start, counts)
     slot += np.arange(m)
 
-    # A pixel's first cell is 1 and the cell behind pair j holds 1 - alpha_j;
-    # after the cumprod, the cell in front of pair j holds the transmittance
-    # in front of it.
+    # A pixel's first cell is its transmittance in front of the chunk and the
+    # cell behind pair j holds 1 - alpha_j; after the cumprod, the cell in
+    # front of pair j holds the transmittance in front of it.
     buf = np.ones(int(first[-1] + n[-1] * widths[-1]))
+    buf[cell0] = transmittance.take(pixels)
     behind = buf[1:]
     behind[slot] = np.subtract(1.0, alpha, out=tmp)
     for view in _block_views(buf, blocks):
         np.cumprod(view, axis=1, out=view)
-    trans = buf.take(slot)
-    weights = alpha * trans
+    t_front = buf.take(slot)
+    weights = alpha * t_front
     t_final, active = buf.take(cell0 + counts), np.ones(m, bool)
     # A pair is dropped (with everything behind it) once accepting it would
     # push the transmittance below the floor; it only falls, so check there.
-    if (t_final < config.transmittance_floor).any():
+    ended = t_final < config.transmittance_floor
+    if ended.any():
         active = behind.take(slot, out=tmp) >= config.transmittance_floor
         weights *= active
         # ``active`` is a prefix of each pixel's pairs: the cell behind the
         # last accepted pair (the first cell if none) is the terminal one.
         t_final = buf.take(cell0 + np.add.reduceat(active, start, dtype=np.intp))
-    pixel_of = np.repeat(np.arange(counts.size), counts)  # colours sum in pair order
-    color = np.outer(t_final, bg)
+        live[pixels[ended]] = False
+    transmittance[pixels] = t_final
+    # Colours sum in pair order, going on from ``total``: added to each
+    # pixel's first term, it is added in the same order as a sum seeded with it.
+    pixel_of = np.repeat(np.arange(counts.size), counts)
     for c in range(3):
         np.multiply(coef[6 + c].take(rows, out=tmp), weights, out=tmp)
-        color[:, c] += np.bincount(pixel_of, tmp, minlength=counts.size)
+        tmp[start] += total[c].take(pixels)
+        total[c, pixels] = np.bincount(pixel_of, tmp, minlength=counts.size)
     return _Pairs(
-        rows, dx, dy, gauss, alpha, trans, active, weights, slot,
-        pixels, counts, cell0 + counts, color, t_final, blocks,
+        rows, dx, dy, gauss, alpha, t_front, active, weights, slot,
+        pixels, counts, cell0 + counts, blocks,
     )
 
 
@@ -458,24 +480,24 @@ def rasterize(
         raise InvalidParameterError("background must be an RGB triple")
 
     h, w = camera.height, camera.width
-    image = np.tile(bg, (h * w, 1))
-    transmittance = np.ones(h * w)
+    transmittance, total = np.ones(h * w), np.zeros((3, h * w))
     prep = _prepare(gaussians, camera, config)
     kept = [] if for_backward else None
-    for pairs in _pair_chunks(prep, camera, config, bg):
-        image[pairs.pixels] = pairs.color
-        transmittance[pairs.pixels] = pairs.t_final
+    for pairs in _pair_chunks(prep, camera, config, transmittance, total):
         if kept is not None:
             for arr in pairs[:-1]:
                 arr.flags.writeable = False
             kept.append(pairs)
 
-    np.clip(image, 0.0, 1.0, out=image)
+    color = np.outer(transmittance, bg)
+    color += total.T
+    image = np.clip(color, 0.0, 1.0)
     return RenderOutput(
         image=image.reshape(h, w, 3),
         terminal_transmittance=transmittance.reshape(h, w),
         background=bg,
         config=config,
+        _color=color,
         _prep=prep,
         _scene=gaussians,
         _camera=camera,
@@ -517,45 +539,23 @@ def rasterize_backward(
     config = render_output.config
     bg = render_output.background
     prep = render_output._prep
-    chunks = render_output._kept or _pair_chunks(prep, camera, config, bg)
-    g_image = d_image.reshape(-1, 3)
+    chunks = render_output._kept
+    if chunks is None:
+        hw = camera.height * camera.width
+        chunks = list(_pair_chunks(prep, camera, config, np.ones(hw), np.zeros((3, hw))))
+    # adjoint of the [0, 1] clip
+    g_image = np.where(render_output._color <= 1.0, d_image.reshape(-1, 3), 0.0)
+    # Per pixel, the suffix sum behind the chunks walked so far (see below),
+    # which starts as the background term.
+    behind = (g_image @ bg) * render_output.terminal_transmittance.reshape(-1)
     color_t = np.ascontiguousarray(prep.color.take(prep.front, axis=0).T)
     # Per depth rank: d_color (3), then the sums over its pairs of
     # dL/d(alpha) times the Gaussian falloff times 1, dx, dy, dx^2, dx dy and
     # dy^2. Opacity and conic factors are per-row constants, so they are
     # applied once after the chunk loop.
     ranked = np.zeros((9, prep.vis_idx.size))
-    for p in chunks:
-        g_pix = np.where(p.color <= 1.0, g_image[p.pixels], 0.0)  # adjoint of the [0,1] clip
-        g = np.repeat(g_pix.T, p.counts, axis=1)  # (3, M)
-        tmp, e = np.empty(p.rows.size), np.zeros(p.rows.size)  # e: c . g per pair
-        for k in range(3):
-            e += np.multiply(color_t[k].take(p.rows, out=tmp), g[k], out=tmp)
-        # dL/d alpha_i = T_i (c_i . g) - (suffix_i + bg-term) / (1 - alpha_i),
-        # suffix_i being the sum of weights * (c . g) behind pair i in its
-        # pixel: with weights * (c . g) in front of each pair and the
-        # background term behind the last, one cumsum from the back leaves it
-        # in the cell behind pair i.
-        buf = np.zeros(sum(n * width for _, n, width in p.blocks))
-        buf[p.slot] = np.multiply(p.weights, e, out=tmp)
-        buf[p.tail] = (g_pix @ bg) * p.t_final
-        for view in _block_views(buf, p.blocks):
-            np.cumsum(view[:, ::-1], axis=1, out=view[:, ::-1])
-        suffix = buf[1:].take(p.slot, out=tmp)
-        del buf
-        suffix /= 1.0 - p.alpha
-        d_alpha = np.multiply(p.trans, e, out=e)
-        d_alpha -= suffix
-        # zero where skipped, terminated, or where the clamp bound alpha
-        d_alpha *= (p.alpha > 0) & p.active & (p.alpha < ALPHA_CLAMP)
-        d_alpha *= p.gauss  # dL/d(opacity); dL/d(power) is this times opacity
-        g *= p.weights
-        d_dx = np.multiply(d_alpha, p.dx, out=tmp)
-        d_dy = d_alpha * p.dy
-        second = ((d_dx, p.dx), (d_dx, p.dy), (d_dy, p.dy))
-        _add_per_row(ranked, p.rows, chain(
-            g, (d_alpha, d_dx, d_dy), (u * v for u, v in second)
-        ))
+    for p in reversed(chunks):
+        _pair_gradients(p, g_image, behind, color_t, ranked)
     acc = np.empty_like(ranked)
     acc[:, prep.front] = ranked
 
@@ -569,6 +569,49 @@ def rasterize_backward(
     norms = np.zeros(gaussians.count)
     norms[prep.vis_idx] = np.linalg.norm(d_mean2d, axis=1)
     return grads, norms
+
+
+def _pair_gradients(
+    p: _Pairs, g_image: np.ndarray, behind: np.ndarray, color_t: np.ndarray,
+    ranked: np.ndarray,
+) -> None:
+    """Add one chunk's pair terms to the per-rank sums ``ranked`` (see
+    ``rasterize_backward``), from the clip-gated pixel gradients ``g_image``
+    and the suffix sums ``behind`` that the chunks behind left each pixel;
+    ``behind`` then holds the suffix this chunk leaves the one in front."""
+    g_pix = g_image.take(p.pixels, axis=0)
+    g = np.repeat(g_pix.T, p.counts, axis=1)  # (3, M)
+    tmp, e = np.empty(p.rows.size), np.zeros(p.rows.size)  # e: c . g per pair
+    for k in range(3):
+        e += np.multiply(color_t[k].take(p.rows, out=tmp), g[k], out=tmp)
+    # dL/d alpha_i = T_i (c_i . g) - suffix_i / (1 - alpha_i), suffix_i
+    # being the background term plus the sum of weights * (c . g) over
+    # the pairs behind pair i in its pixel: with weights * (c . g) in
+    # front of each pair and the suffix behind the chunk in the cell
+    # behind the last, one cumsum from the back leaves it in the cell
+    # behind pair i, and the suffix behind the chunk in front in the
+    # first cell.
+    buf = np.zeros(sum(n * width for _, n, width in p.blocks))
+    buf[p.slot] = np.multiply(p.weights, e, out=tmp)
+    buf[p.tail] = behind.take(p.pixels)
+    for view in _block_views(buf, p.blocks):
+        np.cumsum(view[:, ::-1], axis=1, out=view[:, ::-1])
+    behind[p.pixels] = buf.take(p.tail - p.counts)
+    suffix = buf[1:].take(p.slot, out=tmp)
+    del buf
+    suffix /= 1.0 - p.alpha
+    d_alpha = np.multiply(p.trans, e, out=e)
+    d_alpha -= suffix
+    # zero where skipped, terminated, or where the clamp bound alpha
+    d_alpha *= (p.alpha > 0) & p.active & (p.alpha < ALPHA_CLAMP)
+    d_alpha *= p.gauss  # dL/d(opacity); dL/d(power) is this times opacity
+    g *= p.weights
+    d_dx = np.multiply(d_alpha, p.dx, out=tmp)
+    d_dy = d_alpha * p.dy
+    second = ((d_dx, p.dx), (d_dx, p.dy), (d_dy, p.dy))
+    _add_per_row(ranked, p.rows, chain(
+        g, (d_alpha, d_dx, d_dy), (u * v for u, v in second)
+    ))
 
 
 def _add_per_row(acc: np.ndarray, rows: np.ndarray, values) -> None:

@@ -400,16 +400,17 @@ class TestPairs:
         assert np.all(out.terminal_transmittance[form < 9.0 - 1e-9] < 1.0)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_pairs_are_ellipse_pixels_whose_alpha_reaches_the_skip(self, seed):
+    def test_pairs_are_ellipse_pixels_whose_alpha_reaches_the_skip(self, seed, monkeypatch):
         # the exact config pairs every visible splat with every pixel; the
-        # default config keeps those inside the 3-sigma ellipse whose alpha is
-        # not skipped, and no other
+        # default config builds those inside the 3-sigma ellipse whose alpha
+        # is not skipped, and no other, but for the pairs on pixels that
+        # ended in an earlier chunk
         scene, cam, bg, _ = crowded_case(seed)
         config = CONFIGS["default"]
 
         def pairs(out):
             prep = out._prep
-            found = {}
+            found, ended = {}, {}  # ended: pixel -> last depth rank of the chunk it ended in
             for p in out._kept:
                 rows = prep.front[p.rows]
                 pix = np.repeat(p.pixels, p.counts)
@@ -419,10 +420,10 @@ class TestPairs:
                 raw_alpha = np.minimum(p.gauss * prep.opacity[rows], ALPHA_CLAMP)
                 for key in zip(prep.vis_idx[rows], pix, form, raw_alpha):
                     found[key[:2]] = key[2:]
-            return found
+                ended.update(dict.fromkeys(pix[~p.active].tolist(), p.rows.max()))
+            return found, ended
 
-        every = pairs(rasterize(scene, cam, bg, RenderConfig.exact(), for_backward=True))
-        kept = pairs(rasterize(scene, cam, bg, config, for_backward=True))
+        every, _ = pairs(rasterize(scene, cam, bg, RenderConfig.exact(), for_backward=True))
         want = {
             key for key, (form, alpha) in every.items()
             if form <= 9.0 and alpha >= config.alpha_skip
@@ -433,8 +434,19 @@ class TestPairs:
             if abs(form - 9.0) < 1e-9 or abs(alpha / config.alpha_skip - 1.0) < 1e-6
         }
         assert len(want) > 1000
-        assert set(kept) - edge == want - edge
-        assert all(alpha >= config.alpha_skip for _, alpha in kept.values())
+        for budget in (render_module._CHUNK_PAIRS, 1):
+            monkeypatch.setattr(render_module, "_CHUNK_PAIRS", budget)
+            out = rasterize(scene, cam, bg, config, for_backward=True)
+            kept, ended = pairs(out)
+            rank = np.empty(scene.count, np.intp)
+            rank[out._prep.vis_idx[out._prep.front]] = np.arange(out._prep.vis_idx.size)
+            missing = {
+                (i, pix) for i, pix in want - edge if pix in ended and rank[i] > ended[pix]
+            }
+            assert set(kept) - edge == want - edge - missing
+            assert all(alpha >= config.alpha_skip for _, alpha in kept.values())
+            # one chunk builds every pair; one depth rank per chunk drops some
+            assert (len(out._kept) > 1) == bool(missing)
 
     @pytest.mark.parametrize("cfg_name", ["default", "desk"])
     def test_tile_size_and_chunking_change_nothing(self, cfg_name, monkeypatch):
@@ -450,16 +462,58 @@ class TestPairs:
         runs = [
             run(dataclasses.replace(CONFIGS[cfg_name], tile_size=ts)) for ts in (1, 8, 16, 64)
         ]
-        # a budget of one pair closes a chunk at every pixel row that has one
+        # a budget of one pair makes a chunk of each depth rank that still
+        # reaches a pixel whose transmittance in front of it is at the floor
+        # or above
+        (whole,) = ref_out._kept
+        reaching = np.unique(whole.rows[whole.trans >= CONFIGS[cfg_name].transmittance_floor])
         monkeypatch.setattr(render_module, "_CHUNK_PAIRS", 1)
         runs.append(run(CONFIGS[cfg_name]))
-        assert len(runs[-1][0]._kept) == cam.height
+        assert [p.rows[0] for p in runs[-1][0]._kept] == reaching.tolist()
         for out, grads, norms in runs:
             np.testing.assert_array_equal(out.image, ref_out.image)
             np.testing.assert_array_equal(out.terminal_transmittance, ref_out.terminal_transmittance)
             for name in GRAD_FIELDS:
                 np.testing.assert_array_equal(getattr(grads, name), getattr(ref_grads, name))
             np.testing.assert_array_equal(norms, ref_norms)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ended_pixels_leave_later_chunks(self, seed, monkeypatch):
+        # a chunk builds only the pairs on pixels whose transmittance was at
+        # the floor or above when it began, which leaves every output as it
+        # is: a deep case builds fewer pairs than one chunk of all of them
+        config = CONFIGS["default"]
+        scene, cam, bg, d_image = crowded_case(seed)
+
+        def run():
+            out = rasterize(scene, cam, bg, config, for_backward=True)
+            return out, *rasterize_backward(scene, cam, out, d_image)
+
+        ref, ref_grads, ref_norms = run()
+        (whole,) = ref._kept
+        pix = np.repeat(whole.pixels, whole.counts)
+        live = whole.trans >= config.transmittance_floor  # no pair in front ended the pixel
+        assert not live.all()
+        monkeypatch.setattr(render_module, "_CHUNK_PAIRS", 1)
+        out, grads, norms = run()
+        built = [(r, q) for p in out._kept for r, q in zip(p.rows, np.repeat(p.pixels, p.counts))]
+        assert sorted(built) == sorted(zip(whole.rows[live], pix[live]))
+        np.testing.assert_array_equal(out.image, ref.image)
+        np.testing.assert_array_equal(out.terminal_transmittance, ref.terminal_transmittance)
+        for name in GRAD_FIELDS:
+            np.testing.assert_array_equal(getattr(grads, name), getattr(ref_grads, name))
+        np.testing.assert_array_equal(norms, ref_norms)
+
+        monkeypatch.undo()
+        scene, cam, bg, _ = crowded_case(seed, n=1000)
+        out = rasterize(scene, cam, bg, config, for_backward=True)
+        assert max(p.rows.size for p in out._kept) <= render_module._CHUNK_PAIRS
+        monkeypatch.setattr(render_module, "_CHUNK_PAIRS", 1 << 40)
+        every = rasterize(scene, cam, bg, config, for_backward=True)
+        assert len(out._kept) > 1 and len(every._kept) == 1
+        assert sum(p.rows.size for p in out._kept) < 0.75 * every._kept[0].rows.size
+        np.testing.assert_array_equal(out.image, every.image)
+        np.testing.assert_array_equal(out.terminal_transmittance, every.terminal_transmittance)
 
     def test_invalid_tile_size_still_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -487,12 +541,11 @@ CONFIGS = {
 }
 
 
-def crowded_case(seed):
-    """200 splats on a 32x27 view, with opacities high enough that renders
+def crowded_case(seed, n=200):
+    """``n`` splats on a 32x27 view, with opacities high enough that renders
     terminate early, clip above one and bind the alpha clamp; returns
     (scene, camera, background, d_image)."""
     rng = np.random.default_rng(seed)
-    n = 200
     pos = rng.uniform(-0.6, 0.6, (n, 3))
     pos[:, 2] = rng.uniform(1.2, 3.0, n)
     scene = GaussianSet(
@@ -527,7 +580,7 @@ class TestBackwardPlumbing:
 
         # the case exercises what the kept state must reproduce
         assert any((p.alpha == ALPHA_CLAMP).any() for p in kept._kept)
-        assert any((p.color > 1.0).any() for p in kept._kept)
+        assert (kept._color > 1.0).any()
         if cfg_name != "exact":
             assert any((~p.active).any() for p in kept._kept)
 
