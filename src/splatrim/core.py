@@ -79,6 +79,11 @@ class GaussianSet:
                 raise InvalidParameterError(
                     f"{name} has shape {arr.shape}, expected {shape}"
                 )
+        raw = self.rotations_raw
+        if raw is not None and raw.shape != (n, 4):
+            raise InvalidParameterError(
+                f"rotations_raw has shape {raw.shape}, expected {(n, 4)}"
+            )
 
     @property
     def count(self) -> int:
@@ -151,14 +156,23 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 
 def normalize_quaternions(q: np.ndarray) -> np.ndarray:
-    """Unit-normalize quaternions; zero-norm inputs become the identity."""
-    q = np.asarray(q, np.float64)
-    norm = np.linalg.norm(q, axis=-1, keepdims=True)
-    safe = np.where(norm > 0, norm, 1.0)
-    out = q / safe
-    identity = np.zeros_like(out)
-    identity[..., 0] = 1.0
-    return np.where(norm > 0, out, identity)
+    """Unit-normalize quaternions into a new float64 array; rows whose norm
+    is not positive (zero or NaN) become the identity.
+
+    The squares are summed component by component in the order
+    ``np.linalg.norm`` adds them, so the result is bitwise equal to
+    ``q / np.linalg.norm(q, axis=-1, keepdims=True)`` on the other rows.
+    """
+    out = np.array(q, np.float64)
+    norm = out[..., 0:1] * out[..., 0:1]
+    for i in range(1, 4):
+        component = out[..., i : i + 1]
+        norm += component * component
+    np.sqrt(norm, out=norm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= norm
+    np.copyto(out, (1.0, 0.0, 0.0, 0.0), where=~(norm > 0))
+    return out
 
 
 def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:

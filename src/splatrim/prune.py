@@ -126,7 +126,8 @@ def quantile(values: np.ndarray, fraction: float) -> float:
     k = int(math.floor(fraction * values.size))
     if k == 0:
         return KEEP_ALL_THRESHOLD
-    return float(np.sort(values, kind="stable")[k])
+    # Selection, not a sort; np.partition works on a copy, never on the caller's array.
+    return float(np.partition(values, k)[k])
 
 
 def prune_mask(
@@ -171,8 +172,9 @@ def apply_mask(gaussians: GaussianSet, keep: np.ndarray) -> GaussianSet:
         raise InvalidParameterError(
             f"mask length {keep.shape} does not match count {gaussians.count}"
         )
+    rows = np.flatnonzero(keep)
     raw = gaussians.rotations_raw
     return GaussianSet(
-        **{name: getattr(gaussians, name)[keep] for name in PARAMETERS},
-        rotations_raw=None if raw is None else raw[keep],
+        **{name: getattr(gaussians, name).take(rows, axis=0) for name in PARAMETERS},
+        rotations_raw=None if raw is None else raw.take(rows, axis=0),
     )

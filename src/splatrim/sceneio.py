@@ -86,10 +86,9 @@ def write_ply(gaussians: GaussianSet, path) -> None:
     body[:, 0:3] = gaussians.positions
     # normals stay zero
     body[:, 6:9] = gaussians.sh_coeffs[:, 0, :]
-    # higher bands are stored channel-major: 15 coefficients for R, then G, B
-    body[:, 9:54] = (
-        gaussians.sh_coeffs[:, 1:, :].transpose(0, 2, 1).reshape(n, 45)
-    )
+    # higher bands are stored channel-major: 15 coefficients for R, then G, B,
+    # assigned through a (n, 3, 15) view of the body with no staging copy
+    body[:, 9:54].reshape(n, 3, 15)[...] = gaussians.sh_coeffs[:, 1:, :].transpose(0, 2, 1)
     body[:, 54] = gaussians.opacity_logits
     body[:, 55:58] = gaussians.log_scales
     rotations = (
@@ -180,9 +179,10 @@ def read_ply(path) -> GaussianSet:
                 f"vertex {vertex}: property {PLY_PROPERTIES[column]!r} is not finite",
                 body_offset + (vertex * FLOATS_PER_VERTEX + column) * 4,
             )
-    sh = np.zeros((count, 16, 3), np.float32)
+    sh = np.empty((count, 16, 3), np.float32)
     sh[:, 0, :] = data[:, 6:9]
-    sh[:, 1:, :] = data[:, 9:54].reshape(count, 3, 15).transpose(0, 2, 1)
+    for c in range(3):  # the higher bands, one colour channel at a time
+        sh[:, 1:, c] = data[:, 9 + 15 * c : 24 + 15 * c]
     raw_rot = data[:, 58:62].copy()
     return GaussianSet(
         positions=data[:, 0:3].copy(),

@@ -185,6 +185,48 @@ class TestQuaternions:
         eye = np.broadcast_to(np.eye(3), r.shape)
         np.testing.assert_allclose(r @ np.swapaxes(r, -1, -2), eye, atol=1e-12)
 
+    @staticmethod
+    def linalg_norm_form(q):
+        """The ``np.linalg.norm`` form that ``normalize_quaternions`` replaced."""
+        q = np.asarray(q, np.float64)
+        norm = np.linalg.norm(q, axis=-1, keepdims=True)
+        safe = np.where(norm > 0, norm, 1.0)
+        out = q / safe
+        identity = np.zeros_like(out)
+        identity[..., 0] = 1.0
+        return np.where(norm > 0, out, identity)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 4), (7, 4), (8, 4), (2000, 4), (100_000, 4), (4,), (2, 3, 4)]
+    )
+    def test_bitwise_equal_to_linalg_norm_form(self, shape):
+        # Adam's rotation update normalizes through this function, so this
+        # equality keeps fine-tuning bitwise equal to the linalg.norm form
+        rng = np.random.default_rng(shape[0])
+        q = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape)
+        rows = q.reshape(-1, 4)
+        if len(rows) >= 7:
+            rows[1] = 0.0
+            rows[2] = -0.0
+            rows[3, 2] = np.nan
+            rows[4] = np.nan
+            rows[5] = 1e-200  # squares underflow: the norm is zero
+        q_before = q.copy()
+        out = normalize_quaternions(q)
+        assert out.dtype == np.float64 and out.shape == shape
+        assert out.tobytes() == self.linalg_norm_form(q).tobytes()
+        assert q.tobytes() == q_before.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_input_unchanged(self, dtype):
+        # for a float64 input np.asarray would hand back the caller's array
+        q = np.random.default_rng(9).normal(size=(40, 4)).astype(dtype)
+        q[3] = 0.0
+        before = q.copy()
+        out = normalize_quaternions(q)
+        assert not np.shares_memory(out, q)
+        assert q.tobytes() == before.tobytes()
+
 
 class TestGaussianSet:
     def test_parameter_census(self):
@@ -222,6 +264,15 @@ class TestGaussianSet:
             assert getattr(grads, name).shape == (3, *row)
             assert getattr(grads, name).dtype == np.float64
             assert not getattr(grads, name).any()
+
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 3), (4, 4), (3,), (12,), (3, 4, 1)])
+    def test_rotations_raw_shape_checked(self, shape):
+        # a (1, 4) array used to be accepted and broadcast into every row
+        # that write_ply wrote
+        arrays = {k: np.zeros((3, *row), np.float32) for k, row in PARAMETERS.items()}
+        expected = f"rotations_raw has shape {shape}, expected (3, 4)"
+        with pytest.raises(InvalidParameterError, match=re.escape(expected)):
+            GaussianSet(**arrays, rotations_raw=np.ones(shape, np.float32))
 
     @pytest.mark.parametrize("name", list(PARAMETERS))
     def test_shape_error_names_the_array(self, name):

@@ -101,6 +101,47 @@ class TestPlyRoundTrip:
             assert len(path.read_bytes()) == model_size_bytes(g)
 
 
+class TestPlyLayout:
+    @pytest.mark.parametrize("n", [0, 1, 17])
+    def test_columns_follow_ply_properties(self, tmp_path, n):
+        # decoded apart from read_ply, so a change that alters the writer and
+        # the reader alike still fails here
+        rng = np.random.default_rng(n)
+        sh = (1.0 + np.arange(n * 48, dtype=np.float32)).reshape(n, 16, 3)
+        raw = rng.normal(size=(n, 4)).astype(np.float32)
+        g = GaussianSet(
+            positions=rng.normal(size=(n, 3)).astype(np.float32),
+            rotations=np.zeros((n, 4), np.float32),
+            log_scales=rng.normal(size=(n, 3)).astype(np.float32),
+            opacity_logits=rng.normal(size=n).astype(np.float32),
+            sh_coeffs=sh,
+            rotations_raw=raw,
+        )
+        path = tmp_path / "layout.ply"
+        write_ply(g, path)
+        data = path.read_bytes()
+        header = ply_header_bytes(n)
+        assert data.startswith(header)
+        body = np.frombuffer(data, "<f4", offset=len(header)).reshape(n, FLOATS_PER_VERTEX)
+        column = {name: body[:, i] for i, name in enumerate(PLY_PROPERTIES)}
+        assert len(column) == FLOATS_PER_VERTEX
+        expected = {}
+        for i, axis in enumerate("xyz"):
+            expected[axis] = g.positions[:, i]
+            expected[f"n{axis}"] = np.zeros(n, np.float32)
+            expected[f"scale_{i}"] = g.log_scales[:, i]
+        for c in range(3):
+            expected[f"f_dc_{c}"] = sh[:, 0, c]
+            for j in range(15):
+                expected[f"f_rest_{15 * c + j}"] = sh[:, 1 + j, c]
+        expected["opacity"] = g.opacity_logits
+        for i in range(4):
+            expected[f"rot_{i}"] = raw[:, i]
+        assert expected.keys() == column.keys()
+        for name in PLY_PROPERTIES:
+            assert column[name].tobytes() == expected[name].tobytes(), name
+
+
 class TestPlyErrors:
     def test_missing_property(self, tmp_path):
         g = random_scene(5, 2)

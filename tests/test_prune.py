@@ -118,7 +118,36 @@ class TestQuantile:
             assert int((values < threshold).sum()) == int(math.floor(fraction * n))
 
 
+    @pytest.mark.parametrize("levels", [1, 2, 7, 1000])
+    def test_equals_the_stable_sort_element_on_ties(self, levels):
+        rng = np.random.default_rng(levels)
+        values = rng.integers(0, levels, 100_000) / 8.0
+        ordered = np.sort(values, kind="stable")
+        for fraction in (0.001, 0.0669, 0.25, 0.5, 0.99999):
+            k = int(math.floor(fraction * values.size))
+            threshold = quantile(values, fraction)
+            assert np.float64(threshold).tobytes() == ordered[k].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_input_unchanged(self, dtype):
+        # a float64 input reaches the selection as the caller's own array
+        values = np.random.default_rng(3).normal(size=1001).astype(dtype)
+        before = values.copy()
+        for fraction in (0.0, 0.3, 0.9):
+            quantile(values, fraction)
+        assert values.tobytes() == before.tobytes()
+
+
 class TestPruneMask:
+    @pytest.mark.parametrize("criterion", list(PruneCriterion))
+    def test_inputs_unchanged(self, criterion):
+        rng = np.random.default_rng(4)
+        alpha, grads = rng.uniform(0, 1, 500), rng.exponential(1.0, 500)
+        alpha_before, grads_before = alpha.copy(), grads.copy()
+        prune_mask(alpha, grads, 0.4, criterion)
+        assert alpha.tobytes() == alpha_before.tobytes()
+        assert grads.tobytes() == grads_before.tobytes()
+
     def test_gamma_zero_keeps_all(self):
         rng = np.random.default_rng(2)
         alpha = rng.uniform(0, 1, 50)
@@ -226,6 +255,19 @@ class TestApplyMask:
             np.testing.assert_array_equal(
                 before.view(np.uint32), after.view(np.uint32)
             )
+
+    def test_inputs_unchanged(self):
+        g = small_scene(50, seed=2)
+        raw = np.random.default_rng(3).normal(size=(50, 4)).astype(np.float32)
+        g = GaussianSet(**{name: getattr(g, name) for name in PARAMETERS}, rotations_raw=raw)
+        keep = np.random.default_rng(4).uniform(size=50) > 0.5
+        names = [*PARAMETERS, "rotations_raw"]
+        before = {name: getattr(g, name).copy() for name in names}
+        keep_before = keep.copy()
+        apply_mask(g, keep)
+        for name in names:
+            assert getattr(g, name).tobytes() == before[name].tobytes()
+        assert keep.tobytes() == keep_before.tobytes()
 
     def test_length_mismatch(self):
         g = small_scene(6)
